@@ -16,7 +16,7 @@
 //!
 //! Writes `DIR/fleet.json` (schema `survdb-fleet/v1`): the
 //! deterministic section is byte-identical across shard counts and
-//! visit orders — CI holds that contract with `fleet-schema-check`.
+//! visit orders — CI holds that contract with `artifact-check`.
 
 use bench::fleet::{
     run_fleetbench, write_fleet, FleetBenchOptions, FleetReport, VisitOrder, FLEET_FILE,

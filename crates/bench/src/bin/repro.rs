@@ -16,10 +16,11 @@
 //! `artifacts/<id>.json`.
 
 use bench::{parse_options, Harness};
+use obs::jsonv::JsonV;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
-use survdb::json::{Json, ToJson};
+use survdb::json::ToJson;
 use survdb::observations::ObservationReport;
 use survdb::provisioning::{
     simulate, PlacementPolicy, PredictedLongevity, ProvisioningConfig, ProvisioningOutcome,
@@ -102,8 +103,8 @@ struct CurveArtifact {
 }
 
 impl ToJson for CurveArtifact {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("label", self.label.to_json_value()),
             ("n", self.n.to_json_value()),
             ("points", self.points.to_json_value()),
@@ -587,8 +588,8 @@ fn factors(h: &mut Harness) {
         accuracy_with_ngrams: f64,
     }
     impl ToJson for FactorsArtifact {
-        fn to_json_value(&self) -> Json {
-            Json::obj(vec![
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
                 ("importances", self.importances.to_json_value()),
                 ("families", self.families.to_json_value()),
                 (
@@ -710,8 +711,8 @@ fn sweep(h: &mut Harness) {
         baseline_accuracy: f64,
     }
     impl ToJson for SweepPoint {
-        fn to_json_value(&self) -> Json {
-            Json::obj(vec![
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
                 ("x_days", self.x_days.to_json_value()),
                 ("y_days", self.y_days.to_json_value()),
                 ("population", self.population.to_json_value()),
@@ -778,8 +779,8 @@ fn sweep(h: &mut Harness) {
         survival_at_130: f64,
     }
     impl ToJson for WindowPoint {
-        fn to_json_value(&self) -> Json {
-            Json::obj(vec![
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
                 ("window_days", self.window_days.to_json_value()),
                 ("databases", self.databases.to_json_value()),
                 ("labeled", self.labeled.to_json_value()),
@@ -876,8 +877,8 @@ fn calib(h: &mut Harness) {
         bins: Vec<(f64, f64, f64, usize)>,
     }
     impl ToJson for CalibArtifact {
-        fn to_json_value(&self) -> Json {
-            Json::obj(vec![
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
                 ("brier", self.brier.to_json_value()),
                 ("ece", self.ece.to_json_value()),
                 ("bins", self.bins.to_json_value()),
@@ -928,8 +929,8 @@ fn models(h: &mut Harness) {
         auc: Option<f64>,
     }
     impl ToJson for ModelRow {
-        fn to_json_value(&self) -> Json {
-            Json::obj(vec![
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
                 ("model", self.model.to_json_value()),
                 ("accuracy", self.accuracy.to_json_value()),
                 ("precision", self.precision.to_json_value()),

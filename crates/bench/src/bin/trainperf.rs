@@ -18,9 +18,10 @@
 use bench::legacy::{legacy_grid_search, LegacyDataset, LegacyForest};
 use bench::model_source::{fixture_dataset, tuning_candidates, verify_persisted};
 use forest::{cross_val_accuracy, GridSearch, RandomForest, RandomForestParams};
+use obs::jsonv::JsonV;
 use std::path::PathBuf;
 use std::time::Instant;
-use survdb::json::{Json, ToJson};
+use survdb::json::ToJson;
 
 struct Options {
     scale: f64,
@@ -88,7 +89,7 @@ fn best_of_pair<A, B>(
     )
 }
 
-fn timing(label: &str, legacy_ms: f64, new_ms: f64) -> (Json, f64) {
+fn timing(label: &str, legacy_ms: f64, new_ms: f64) -> (JsonV, f64) {
     let speedup = if new_ms > 0.0 {
         legacy_ms / new_ms
     } else {
@@ -96,10 +97,10 @@ fn timing(label: &str, legacy_ms: f64, new_ms: f64) -> (Json, f64) {
     };
     println!("  {label:<22} legacy {legacy_ms:>9.1} ms   columnar {new_ms:>9.1} ms   speedup {speedup:>5.2}x");
     (
-        Json::obj(vec![
-            ("legacy_ms", Json::Float(legacy_ms)),
-            ("columnar_ms", Json::Float(new_ms)),
-            ("speedup", Json::Float(speedup)),
+        JsonV::obj(vec![
+            ("legacy_ms", JsonV::Float(legacy_ms)),
+            ("columnar_ms", JsonV::Float(new_ms)),
+            ("speedup", JsonV::Float(speedup)),
         ]),
         speedup,
     )
@@ -283,29 +284,29 @@ fn main() {
     let (fit_json, _) = timing("forest fit", legacy_fit_ms, fit_ms);
     let (grid_json, grid_speedup) = timing("grid search", legacy_grid_ms, grid_ms);
 
-    let artifact = Json::obj(vec![
-        ("scale", Json::Float(options.scale)),
-        ("seed", Json::UInt(options.seed)),
+    let artifact = JsonV::obj(vec![
+        ("scale", JsonV::Float(options.scale)),
+        ("seed", JsonV::UInt(options.seed)),
         ("examples", data.len().to_json_value()),
         ("features", data.feature_count().to_json_value()),
         ("grid_candidates", candidates.len().to_json_value()),
         ("cv_folds", k.to_json_value()),
-        ("results_match", Json::Bool(true)),
+        ("results_match", JsonV::Bool(true)),
         (
             "model_roundtrip",
-            Json::obj(vec![
-                ("bytes", Json::UInt(rendered_bytes as u64)),
-                ("bitwise_identical", Json::Bool(true)),
+            JsonV::obj(vec![
+                ("bytes", JsonV::UInt(rendered_bytes as u64)),
+                ("bitwise_identical", JsonV::Bool(true)),
             ]),
         ),
         ("forest_fit", fit_json),
         ("grid_search", grid_json),
         (
             "obs_overhead",
-            Json::obj(vec![
-                ("disabled_ms", Json::Float(obs_off_ms)),
-                ("enabled_ms", Json::Float(obs_on_ms)),
-                ("overhead_pct", Json::Float(obs_overhead_pct)),
+            JsonV::obj(vec![
+                ("disabled_ms", JsonV::Float(obs_off_ms)),
+                ("enabled_ms", JsonV::Float(obs_on_ms)),
+                ("overhead_pct", JsonV::Float(obs_overhead_pct)),
             ]),
         ),
     ]);

@@ -46,11 +46,12 @@
 //! vanished count comes from an id-set difference, so the identity can
 //! genuinely fail on a buggy producer.
 
-use crate::artifact::{
-    envelope, expect_float, expect_keys, expect_obj, expect_uint, validate_envelope, write_artifact,
-};
 use features::{feature_schema, FeatureConfig, FeatureExtractor};
 use forest::Dataset;
+use obs::artifact::{
+    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    validate_envelope, write_artifact,
+};
 use obs::jsonv::JsonV;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -493,12 +494,11 @@ fn counting_identity(value: &JsonV, what: &str) -> Result<[u64; 4], String> {
 /// Structurally validates a rendered `fleet.json`: schema id, the
 /// deterministic/nondeterministic split with exact key order, the
 /// counting identity per shard / per region / in total, and
-/// shard-to-region sum consistency. Used by the `fleet-schema-check`
-/// binary in CI.
+/// shard-to-region sum consistency. `artifact-check` runs it in CI.
 pub fn validate_fleet(text: &str) -> Result<(), String> {
     let root = validate_envelope(text, FLEET_SCHEMA)?;
 
-    let det = root.get("deterministic").expect("envelope checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
@@ -513,34 +513,24 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
         ],
         "deterministic",
     )?;
-    let scale = expect_float(det.get("scale").expect("keys checked"), "scale")?;
+    let scale = expect_float(field(det, "scale")?, "scale")?;
     if scale.is_nan() || scale <= 0.0 {
         return Err(format!("scale {scale} must be positive"));
     }
-    expect_uint(det.get("seed").expect("keys checked"), "seed")?;
-    let fault_rate = expect_float(det.get("fault_rate").expect("keys checked"), "fault_rate")?;
+    expect_uint(field(det, "seed")?, "seed")?;
+    let fault_rate = expect_float(field(det, "fault_rate")?, "fault_rate")?;
     if !(0.0..=1.0).contains(&fault_rate) {
         return Err(format!("fault_rate {fault_rate} outside [0, 1]"));
     }
-    if expect_uint(
-        det.get("chunk_subscriptions").expect("keys checked"),
-        "chunk_subscriptions",
-    )? == 0
-    {
+    if expect_uint(field(det, "chunk_subscriptions")?, "chunk_subscriptions")? == 0 {
         return Err("chunk_subscriptions must be nonzero".to_string());
     }
-    let feature_count = expect_uint(
-        det.get("feature_count").expect("keys checked"),
-        "feature_count",
-    )?;
+    let feature_count = expect_uint(field(det, "feature_count")?, "feature_count")?;
     if feature_count == 0 {
         return Err("feature_count must be nonzero".to_string());
     }
 
-    let regions = match det.get("regions") {
-        Some(JsonV::Arr(items)) => items,
-        other => return Err(format!("regions must be an array, found {other:?}")),
-    };
+    let regions = expect_arr(field(det, "regions")?, "regions")?;
     if regions.len() != 3 {
         return Err(format!("expected 3 regions, found {}", regions.len()));
     }
@@ -570,9 +560,9 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             other => return Err(format!("{what}.region must be a string, found {other:?}")),
         };
         let counts = counting_identity(region, &what)?;
-        let subscriptions = expect_uint(region.get("subscriptions").expect("keys checked"), &what)?;
-        let rows = expect_uint(region.get("dataset_rows").expect("keys checked"), &what)?;
-        let positive = expect_uint(region.get("positive_rows").expect("keys checked"), &what)?;
+        let subscriptions = expect_uint(field(region, "subscriptions")?, &what)?;
+        let rows = expect_uint(field(region, "dataset_rows")?, &what)?;
+        let positive = expect_uint(field(region, "positive_rows")?, &what)?;
         if rows > counts[1] {
             return Err(format!(
                 "{what}: dataset_rows {rows} exceeds recovered {}",
@@ -585,14 +575,12 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             ));
         }
         rows_sum += rows;
-        fingerprint_sum = fingerprint_sum.wrapping_add(expect_uint(
-            region.get("dataset_fingerprint").expect("keys checked"),
-            &what,
-        )?);
+        fingerprint_sum = fingerprint_sum
+            .wrapping_add(expect_uint(field(region, "dataset_fingerprint")?, &what)?);
         region_counts.push((label, subscriptions, counts, rows));
     }
 
-    let totals = det.get("totals").expect("keys checked");
+    let totals = field(det, "totals")?;
     let totals_fields = expect_obj(totals, "totals")?;
     expect_keys(
         totals_fields,
@@ -616,18 +604,14 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             ));
         }
     }
-    if expect_uint(totals.get("dataset_rows").expect("keys checked"), "totals")? != rows_sum {
+    if expect_uint(field(totals, "dataset_rows")?, "totals")? != rows_sum {
         return Err("totals.dataset_rows != sum over regions".to_string());
     }
-    if expect_uint(
-        totals.get("dataset_fingerprint").expect("keys checked"),
-        "totals",
-    )? != fingerprint_sum
-    {
+    if expect_uint(field(totals, "dataset_fingerprint")?, "totals")? != fingerprint_sum {
         return Err("totals.dataset_fingerprint != wrapping sum over regions".to_string());
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
@@ -643,10 +627,7 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
         ],
         "nondeterministic",
     )?;
-    let shard_count = expect_uint(
-        nondet.get("shard_count").expect("keys checked"),
-        "shard_count",
-    )?;
+    let shard_count = expect_uint(field(nondet, "shard_count")?, "shard_count")?;
     if shard_count == 0 {
         return Err("shard_count must be nonzero".to_string());
     }
@@ -658,25 +639,16 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             ))
         }
     }
-    expect_uint(
-        nondet.get("thread_limit").expect("keys checked"),
-        "thread_limit",
-    )?;
+    expect_uint(field(nondet, "thread_limit")?, "thread_limit")?;
     for key in ["elapsed_ms", "databases_per_second", "rows_per_second"] {
-        let v = expect_float(nondet.get(key).expect("keys checked"), key)?;
+        let v = expect_float(field(nondet, key)?, key)?;
         if !v.is_finite() || v < 0.0 {
             return Err(format!("{key} {v} must be finite and >= 0"));
         }
     }
-    expect_uint(
-        nondet.get("peak_rss_kb").expect("keys checked"),
-        "peak_rss_kb",
-    )?;
+    expect_uint(field(nondet, "peak_rss_kb")?, "peak_rss_kb")?;
 
-    let shards = match nondet.get("shards") {
-        Some(JsonV::Arr(items)) => items,
-        other => return Err(format!("shards must be an array, found {other:?}")),
-    };
+    let shards = expect_arr(field(nondet, "shards")?, "shards")?;
     // Fold each shard entry into its region, then require the per-shard
     // sums to reproduce the deterministic per-region totals exactly.
     let mut per_region_sums = vec![(0u64, [0u64; 4], 0u64); region_counts.len()];
@@ -705,19 +677,18 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             .iter()
             .position(|(r, _, _, _)| r == label)
             .ok_or_else(|| format!("{what}: unknown region {label:?}"))?;
-        let index = expect_uint(shard.get("shard").expect("keys checked"), &what)?;
+        let index = expect_uint(field(shard, "shard")?, &what)?;
         if index >= shard_count {
             return Err(format!(
                 "{what}: shard index {index} outside plan of {shard_count}"
             ));
         }
         let counts = counting_identity(shard, &what)?;
-        per_region_sums[slot].0 +=
-            expect_uint(shard.get("subscriptions").expect("keys checked"), &what)?;
+        per_region_sums[slot].0 += expect_uint(field(shard, "subscriptions")?, &what)?;
         for (sum, v) in per_region_sums[slot].1.iter_mut().zip(counts) {
             *sum += v;
         }
-        per_region_sums[slot].2 += expect_uint(shard.get("rows").expect("keys checked"), &what)?;
+        per_region_sums[slot].2 += expect_uint(field(shard, "rows")?, &what)?;
     }
     for ((label, subscriptions, counts, rows), (sub_sum, count_sums, row_sum)) in
         region_counts.iter().zip(per_region_sums)
@@ -741,11 +712,10 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-pub use crate::artifact::deterministic_section_of;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::artifact::deterministic_section_of;
 
     fn tiny_options() -> FleetBenchOptions {
         FleetBenchOptions {

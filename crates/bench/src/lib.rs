@@ -13,7 +13,6 @@ pub mod model_source;
 pub mod policyart;
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::PathBuf;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset, SubgroupResult};
 use survdb::json::ToJson;
@@ -122,25 +121,18 @@ impl Harness {
     }
 
     /// Writes a JSON artifact for an experiment id. Artifacts render
-    /// through [`survdb::json`] so repeated runs with the same seed
-    /// produce byte-identical files.
+    /// through [`survdb::json::ToJson`] so repeated runs with the same
+    /// seed produce byte-identical files.
     pub fn write_artifact<T: ToJson>(&self, id: &str, value: &T) {
         let dir = &self.options.artifact_dir;
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            obs::error!("harness", "cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{id}.json"));
-        match std::fs::File::create(&path) {
-            Ok(mut f) => {
-                let json = value.to_json_value().render();
-                if let Err(e) = f.write_all(json.as_bytes()) {
-                    obs::error!("harness", "write {} failed: {e}", path.display());
-                } else {
-                    obs::info!("harness", "wrote {}", path.display());
-                }
-            }
-            Err(e) => obs::error!("harness", "create {} failed: {e}", path.display()),
+        let text = value.to_json_value().render();
+        match obs::artifact::write_artifact(dir, &format!("{id}.json"), &text) {
+            Ok(path) => obs::info!("harness", "wrote {}", path.display()),
+            Err(e) => obs::error!(
+                "harness",
+                "cannot write {id}.json in {}: {e}",
+                dir.display()
+            ),
         }
     }
 }

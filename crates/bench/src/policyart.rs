@@ -5,7 +5,7 @@
 //! row under the canonical [`PolicySpec`] — for each what-if cohort in
 //! [`ScenarioKind::ALL`], across all three regions and all three
 //! creation editions. The artifact is the usual two-section envelope
-//! (see [`crate::artifact`]):
+//! (see [`obs::artifact`]):
 //!
 //! - `deterministic` — config echo, model facts, the spec, one block
 //!   per cohort (decision summary + threshold sweep), and the
@@ -23,12 +23,12 @@
 //! best sweep threshold must beat both the always-provision and the
 //! never-provision baselines strictly.
 
-use crate::artifact::{
-    deterministic_section_of, envelope, expect_arr, expect_float, expect_keys, expect_obj,
-    expect_str, expect_uint, validate_envelope, write_artifact,
-};
 use crate::fleet::peak_rss_kb;
 use features::{FeatureConfig, FeatureExtractor};
+use obs::artifact::{
+    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_str, expect_uint,
+    validate_envelope, write_artifact,
+};
 use obs::jsonv::JsonV;
 use policy::{
     decide_batch, spec_json, summary_json, sweep_json, Action, ActionBands, DecisionSummary,
@@ -403,12 +403,6 @@ pub fn write_policy(dir: &Path, report: &PolicyReport) -> std::io::Result<PathBu
     write_artifact(dir, POLICY_FILE, &render_policy(report))
 }
 
-/// The rendered deterministic section — what CI byte-compares across
-/// shard counts.
-pub fn deterministic_policy_section(text: &str) -> Result<String, String> {
-    deterministic_section_of(text)
-}
-
 /// A human-readable per-cohort table for the binary's stdout.
 pub fn cohort_table(report: &PolicyReport) -> String {
     let mut out = String::new();
@@ -595,7 +589,7 @@ fn validate_sweep(
 pub fn validate_policy(text: &str) -> Result<(), String> {
     let root = validate_envelope(text, POLICY_SCHEMA)?;
     let det = expect_obj(
-        root.get("deterministic").expect("envelope checked"),
+        obs::artifact::field(&root, "deterministic")?,
         "deterministic",
     )?;
     expect_keys(
@@ -795,6 +789,7 @@ pub fn validate_policy(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::model_source::{obtain_model, ModelSpec};
+    use obs::artifact::deterministic_section_of;
 
     fn tiny_options(dir: &Path) -> PolicyBenchOptions {
         PolicyBenchOptions {
@@ -867,8 +862,8 @@ mod tests {
         validate_policy(&text_3).expect("three-shard artifact validates");
 
         assert_eq!(
-            deterministic_policy_section(&text_1).unwrap(),
-            deterministic_policy_section(&text_3).unwrap(),
+            deterministic_section_of(&text_1).unwrap(),
+            deterministic_section_of(&text_3).unwrap(),
             "deterministic section must not depend on the shard layout"
         );
         let _ = std::fs::remove_dir_all(&dir);

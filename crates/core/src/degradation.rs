@@ -13,6 +13,7 @@
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, GridPreset};
 use forest::parallel::run_units;
 use forest::ClassificationScores;
+use obs::jsonv::push_f64;
 use telemetry::{
     reconstruct_records_lenient, Census, EventStream, FaultClass, FaultInjector, FaultPlan,
     FaultSummary, Fleet, FleetConfig, IngestReport, RecoveryPolicy, RegionConfig,
@@ -195,20 +196,8 @@ fn recovered_fleet(original: &Fleet, databases: Vec<telemetry::DatabaseRecord>) 
 // `robustness.json`. Rust's shortest-roundtrip f64 Display is
 // deterministic across platforms, so the report renders itself rather
 // than depending on a serializer's map ordering or float formatting.
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Integral values still need a decimal point to read as
-        // floats downstream.
-        if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(&format!("{v:.1}"));
-        } else {
-            out.push_str(&format!("{v}"));
-        }
-    } else {
-        out.push_str("null");
-    }
-}
+// Its single-line cells keep their own layout; floats go through the
+// workspace's one float rule.
 
 fn push_scores(out: &mut String, s: &Scores) {
     out.push_str("{\"accuracy\": ");

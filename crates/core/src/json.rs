@@ -4,12 +4,9 @@
 //! `repro` or `faultsweep` with the same seed must leave every
 //! `artifacts/*.json` byte-identical. A generic serializer makes that
 //! promise fragile — map iteration order and float formatting are
-//! implementation details — so artifacts render through this small
-//! value tree instead. Floats follow one rule everywhere (finite
-//! integral values print with a trailing `.0`, everything else prints
-//! Rust's shortest roundtrip form, non-finite prints `null`), object
-//! keys appear in the order the code pushes them, and hash maps are
-//! sorted before rendering.
+//! implementation details — so artifacts convert into the workspace's
+//! one value tree, [`obs::jsonv::JsonV`], whose renderer fixes float
+//! formatting and key order. Hash maps are sorted before rendering.
 
 use crate::degradation::Scores;
 use crate::experiment::{GroupingAnalysis, KmSeries, SubgroupResult};
@@ -17,227 +14,101 @@ use crate::observations::{EditionSurvival, ObservationReport};
 use crate::provisioning::{PlacementPolicy, ProvisioningOutcome};
 use crate::segments::SegmentReport;
 use forest::ClassificationScores;
+use obs::jsonv::JsonV;
 use std::collections::{BTreeMap, HashMap};
-
-/// A JSON value with deterministic rendering.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer (renders without a decimal point).
-    UInt(u64),
-    /// A signed integer (renders without a decimal point).
-    Int(i64),
-    /// A float (renders with at least one decimal; non-finite → null).
-    Float(f64),
-    /// A string (escaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; keys render in push order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Renders the value as pretty-printed JSON (two-space indent),
-    /// with a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(v) => out.push_str(&v.to_string()),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Float(v) => push_f64(out, *v),
-            Json::Str(s) => push_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    push_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// The one float rule (shared with `RobustnessReport::to_json`):
-/// integral finite values keep a decimal point so they read as floats
-/// downstream; everything else uses Rust's shortest-roundtrip Display;
-/// non-finite values become `null`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(&format!("{v:.1}"));
-        } else {
-            out.push_str(&format!("{v}"));
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Conversion into the deterministic JSON tree. Every artifact type
 /// implements this; the harness's `write_artifact` accepts any
 /// implementor.
 pub trait ToJson {
     /// The value as a JSON tree.
-    fn to_json_value(&self) -> Json;
+    fn to_json_value(&self) -> JsonV;
 }
 
-impl ToJson for Json {
-    fn to_json_value(&self) -> Json {
+impl ToJson for JsonV {
+    fn to_json_value(&self) -> JsonV {
         self.clone()
     }
 }
 
 impl ToJson for bool {
-    fn to_json_value(&self) -> Json {
-        Json::Bool(*self)
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Bool(*self)
     }
 }
 
 impl ToJson for usize {
-    fn to_json_value(&self) -> Json {
-        Json::UInt(*self as u64)
+    fn to_json_value(&self) -> JsonV {
+        JsonV::UInt(*self as u64)
     }
 }
 
 impl ToJson for u32 {
-    fn to_json_value(&self) -> Json {
-        Json::UInt(u64::from(*self))
+    fn to_json_value(&self) -> JsonV {
+        JsonV::UInt(u64::from(*self))
     }
 }
 
 impl ToJson for u64 {
-    fn to_json_value(&self) -> Json {
-        Json::UInt(*self)
+    fn to_json_value(&self) -> JsonV {
+        JsonV::UInt(*self)
     }
 }
 
 impl ToJson for i64 {
-    fn to_json_value(&self) -> Json {
-        Json::Int(*self)
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Int(*self)
     }
 }
 
 impl ToJson for f64 {
-    fn to_json_value(&self) -> Json {
-        Json::Float(*self)
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Float(*self)
     }
 }
 
 impl ToJson for String {
-    fn to_json_value(&self) -> Json {
-        Json::Str(self.clone())
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Str(self.clone())
     }
 }
 
 impl ToJson for &str {
-    fn to_json_value(&self) -> Json {
-        Json::Str((*self).to_string())
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Str((*self).to_string())
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json_value(&self) -> Json {
+    fn to_json_value(&self) -> JsonV {
         match self {
             Some(v) => v.to_json_value(),
-            None => Json::Null,
+            None => JsonV::Null,
         }
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json_value(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json_value).collect())
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Arr(self.iter().map(ToJson::to_json_value).collect())
     }
 }
 
 impl<T: ToJson> ToJson for &T {
-    fn to_json_value(&self) -> Json {
+    fn to_json_value(&self) -> JsonV {
         (*self).to_json_value()
     }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json_value(&self) -> Json {
-        Json::Arr(vec![self.0.to_json_value(), self.1.to_json_value()])
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Arr(vec![self.0.to_json_value(), self.1.to_json_value()])
     }
 }
 
 impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json_value(&self) -> Json {
-        Json::Arr(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Arr(vec![
             self.0.to_json_value(),
             self.1.to_json_value(),
             self.2.to_json_value(),
@@ -246,8 +117,8 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
 }
 
 impl<A: ToJson, B: ToJson, C: ToJson, D: ToJson> ToJson for (A, B, C, D) {
-    fn to_json_value(&self) -> Json {
-        Json::Arr(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Arr(vec![
             self.0.to_json_value(),
             self.1.to_json_value(),
             self.2.to_json_value(),
@@ -257,8 +128,8 @@ impl<A: ToJson, B: ToJson, C: ToJson, D: ToJson> ToJson for (A, B, C, D) {
 }
 
 impl<T: ToJson> ToJson for BTreeMap<String, T> {
-    fn to_json_value(&self) -> Json {
-        Json::Obj(
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Obj(
             self.iter()
                 .map(|(k, v)| (k.clone(), v.to_json_value()))
                 .collect(),
@@ -267,10 +138,10 @@ impl<T: ToJson> ToJson for BTreeMap<String, T> {
 }
 
 impl<T: ToJson> ToJson for HashMap<String, T> {
-    fn to_json_value(&self) -> Json {
+    fn to_json_value(&self) -> JsonV {
         let mut keys: Vec<&String> = self.keys().collect();
         keys.sort();
-        Json::Obj(
+        JsonV::Obj(
             keys.into_iter()
                 .map(|k| (k.clone(), self[k].to_json_value()))
                 .collect(),
@@ -279,29 +150,29 @@ impl<T: ToJson> ToJson for HashMap<String, T> {
 }
 
 impl ToJson for ClassificationScores {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("accuracy", Json::Float(self.accuracy)),
-            ("precision", Json::Float(self.precision)),
-            ("recall", Json::Float(self.recall)),
-            ("support", Json::UInt(self.support as u64)),
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
+            ("accuracy", JsonV::Float(self.accuracy)),
+            ("precision", JsonV::Float(self.precision)),
+            ("recall", JsonV::Float(self.recall)),
+            ("support", JsonV::UInt(self.support as u64)),
         ])
     }
 }
 
 impl ToJson for Scores {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("accuracy", Json::Float(self.accuracy)),
-            ("precision", Json::Float(self.precision)),
-            ("recall", Json::Float(self.recall)),
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
+            ("accuracy", JsonV::Float(self.accuracy)),
+            ("precision", JsonV::Float(self.precision)),
+            ("recall", JsonV::Float(self.recall)),
         ])
     }
 }
 
 impl ToJson for KmSeries {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("label", self.label.to_json_value()),
             ("n", self.n.to_json_value()),
             ("points", self.points.to_json_value()),
@@ -310,32 +181,32 @@ impl ToJson for KmSeries {
 }
 
 impl ToJson for GroupingAnalysis {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("short_curve", self.short_curve.to_json_value()),
             ("long_curve", self.long_curve.to_json_value()),
-            ("logrank_p", Json::Float(self.logrank_p)),
-            ("logrank_statistic", Json::Float(self.logrank_statistic)),
+            ("logrank_p", JsonV::Float(self.logrank_p)),
+            ("logrank_statistic", JsonV::Float(self.logrank_statistic)),
         ])
     }
 }
 
 impl ToJson for SubgroupResult {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("region", self.region.to_json_value()),
             ("edition", self.edition.to_json_value()),
-            ("positive_fraction", Json::Float(self.positive_fraction)),
+            ("positive_fraction", JsonV::Float(self.positive_fraction)),
             (
                 "confidence_threshold",
-                Json::Float(self.confidence_threshold),
+                JsonV::Float(self.confidence_threshold),
             ),
             ("population", self.population.to_json_value()),
             ("forest", self.forest.to_json_value()),
             ("baseline", self.baseline.to_json_value()),
             ("confident", self.confident.to_json_value()),
             ("uncertain", self.uncertain.to_json_value()),
-            ("confident_fraction", Json::Float(self.confident_fraction)),
+            ("confident_fraction", JsonV::Float(self.confident_fraction)),
             ("whole_grouping", self.whole_grouping.to_json_value()),
             ("baseline_grouping", self.baseline_grouping.to_json_value()),
             (
@@ -346,7 +217,7 @@ impl ToJson for SubgroupResult {
                 "uncertain_grouping",
                 self.uncertain_grouping.to_json_value(),
             ),
-            ("oob_accuracy", Json::Float(self.oob_accuracy)),
+            ("oob_accuracy", JsonV::Float(self.oob_accuracy)),
             ("importances", self.importances.to_json_value()),
             ("tuned_params", self.tuned_params.to_json_value()),
         ])
@@ -354,35 +225,35 @@ impl ToJson for SubgroupResult {
 }
 
 impl ToJson for EditionSurvival {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("edition", self.edition.to_json_value()),
             ("n", self.n.to_json_value()),
-            ("s30", Json::Float(self.s30)),
-            ("s60", Json::Float(self.s60)),
-            ("s120", Json::Float(self.s120)),
-            ("always_s60", Json::Float(self.always_s60)),
+            ("s30", JsonV::Float(self.s30)),
+            ("s60", JsonV::Float(self.s60)),
+            ("s120", JsonV::Float(self.s120)),
+            ("always_s60", JsonV::Float(self.always_s60)),
             ("always_n", self.always_n.to_json_value()),
-            ("changed_s60", Json::Float(self.changed_s60)),
+            ("changed_s60", JsonV::Float(self.changed_s60)),
             ("changed_n", self.changed_n.to_json_value()),
         ])
     }
 }
 
 impl ToJson for ObservationReport {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("region", self.region.to_json_value()),
             (
                 "ephemeral_only_subscription_share",
-                Json::Float(self.ephemeral_only_subscription_share),
+                JsonV::Float(self.ephemeral_only_subscription_share),
             ),
             (
                 "ephemeral_only_database_share",
-                Json::Float(self.ephemeral_only_database_share),
+                JsonV::Float(self.ephemeral_only_database_share),
             ),
             ("edition_survival", self.edition_survival.to_json_value()),
-            ("edition_logrank_p", Json::Float(self.edition_logrank_p)),
+            ("edition_logrank_p", JsonV::Float(self.edition_logrank_p)),
             (
                 "edition_change_rates",
                 self.edition_change_rates.to_json_value(),
@@ -392,8 +263,8 @@ impl ToJson for ObservationReport {
 }
 
 impl ToJson for PlacementPolicy {
-    fn to_json_value(&self) -> Json {
-        Json::Str(
+    fn to_json_value(&self) -> JsonV {
+        JsonV::Str(
             match self {
                 PlacementPolicy::Agnostic => "Agnostic",
                 PlacementPolicy::LongevityGuided => "LongevityGuided",
@@ -404,8 +275,8 @@ impl ToJson for PlacementPolicy {
 }
 
 impl ToJson for ProvisioningOutcome {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
             ("policy", self.policy.to_json_value()),
             ("placed", self.placed.to_json_value()),
             ("clusters_opened", self.clusters_opened.to_json_value()),
@@ -421,9 +292,12 @@ impl ToJson for ProvisioningOutcome {
 }
 
 impl ToJson for SegmentReport {
-    fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("cutoff_epoch_seconds", Json::Int(self.cutoff_epoch_seconds)),
+    fn to_json_value(&self) -> JsonV {
+        JsonV::obj(vec![
+            (
+                "cutoff_epoch_seconds",
+                JsonV::Int(self.cutoff_epoch_seconds),
+            ),
             ("segment_sizes", self.segment_sizes.to_json_value()),
             (
                 "out_of_time_accuracy",
@@ -441,22 +315,22 @@ mod tests {
 
     #[test]
     fn scalars_render() {
-        assert_eq!(Json::Null.render(), "null\n");
-        assert_eq!(Json::Bool(true).render(), "true\n");
-        assert_eq!(Json::UInt(17).render(), "17\n");
-        assert_eq!(Json::Int(-3).render(), "-3\n");
-        assert_eq!(Json::Float(17.0).render(), "17.0\n");
-        assert_eq!(Json::Float(0.125).render(), "0.125\n");
-        assert_eq!(Json::Float(f64::NAN).render(), "null\n");
-        assert_eq!(Json::Str("a\"b".into()).render(), "\"a\\\"b\"\n");
+        assert_eq!(JsonV::Null.render(), "null\n");
+        assert_eq!(JsonV::Bool(true).render(), "true\n");
+        assert_eq!(JsonV::UInt(17).render(), "17\n");
+        assert_eq!(JsonV::Int(-3).render(), "-3\n");
+        assert_eq!(JsonV::Float(17.0).render(), "17.0\n");
+        assert_eq!(JsonV::Float(0.125).render(), "0.125\n");
+        assert_eq!(JsonV::Float(f64::NAN).render(), "null\n");
+        assert_eq!(JsonV::Str("a\"b".into()).render(), "\"a\\\"b\"\n");
     }
 
     #[test]
     fn nested_pretty_layout() {
-        let v = Json::obj(vec![
-            ("name", Json::Str("x".into())),
-            ("points", Json::Arr(vec![Json::UInt(1), Json::UInt(2)])),
-            ("empty", Json::Arr(vec![])),
+        let v = JsonV::obj(vec![
+            ("name", JsonV::Str("x".into())),
+            ("points", JsonV::Arr(vec![JsonV::UInt(1), JsonV::UInt(2)])),
+            ("empty", JsonV::Arr(vec![])),
         ]);
         assert_eq!(
             v.render(),

@@ -57,7 +57,7 @@ pub mod study;
 
 pub use degradation::{run_degradation_sweep, DegradationConfig, RobustnessReport};
 pub use experiment::{Experiment, ExperimentConfig, ExperimentError, GridPreset, SubgroupResult};
-pub use json::{Json, ToJson};
+pub use json::ToJson;
 pub use observations::ObservationReport;
 pub use provisioning::{PlacementPolicy, ProvisioningConfig, ProvisioningOutcome};
 pub use segments::{segment_report, Segment, SegmentConfig, SegmentReport};

@@ -1,12 +1,25 @@
-//! A minimal deterministic JSON tree: renderer and parser.
+//! The workspace's one JSON tree: a deterministic renderer and a
+//! strict, linear-time, depth-bounded parser.
 //!
-//! `obs` sits below every other workspace crate, so it cannot use
-//! `survdb::json`; this module mirrors its rendering rules (two-space
-//! pretty printing, keys in push order, the one float rule: finite
-//! integral values keep a `.1` decimal, everything else prints Rust's
-//! shortest roundtrip form, non-finite becomes `null`). The parser
-//! exists so the `trace-schema-check` binary can validate
-//! `run_trace.json` without external dependencies.
+//! Byte-determinism is the acceptance bar for every artifact, model
+//! and wire body, so rendering follows fixed rules: two-space pretty
+//! printing, object keys in push order, and the one float rule
+//! ([`push_f64`]). `obs` sits below every other crate, so models,
+//! `/score` bodies, artifacts and the run trace all share this tree.
+//!
+//! The parser reads untrusted network input (`/score`, `/reload`): it
+//! runs in time linear in the input and rejects nesting deeper than
+//! [`MAX_DEPTH`] instead of recursing without bound.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
+/// Deepest container nesting [`parse`] accepts. The deepest committed
+/// JSON nests 7 levels and a `/score` body 3; anything past this
+/// limit is rejected instead of recursing toward a stack overflow.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value with deterministic rendering.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,6 +30,10 @@ pub enum JsonV {
     Bool(bool),
     /// An unsigned integer (renders without a decimal point).
     UInt(u64),
+    /// A signed integer (renders without a decimal point). Render-only:
+    /// [`parse`] maps every number to [`JsonV::UInt`] or
+    /// [`JsonV::Float`].
+    Int(i64),
     /// A float (renders with at least one decimal; non-finite → null).
     Float(f64),
     /// A string (escaped).
@@ -61,6 +78,7 @@ impl JsonV {
             JsonV::Null => out.push_str("null"),
             JsonV::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonV::UInt(v) => out.push_str(&v.to_string()),
+            JsonV::Int(v) => out.push_str(&v.to_string()),
             JsonV::Float(v) => push_f64(out, *v),
             JsonV::Str(s) => push_escaped(out, s),
             JsonV::Arr(items) => {
@@ -101,6 +119,7 @@ impl JsonV {
             JsonV::Null => out.push_str("null"),
             JsonV::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonV::UInt(v) => out.push_str(&v.to_string()),
+            JsonV::Int(v) => out.push_str(&v.to_string()),
             JsonV::Float(v) => push_f64(out, *v),
             JsonV::Str(s) => push_escaped(out, s),
             JsonV::Arr(items) => {
@@ -149,7 +168,10 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// The one float rule: integral finite values keep a `.0` so they
+/// read as floats downstream, everything else prints Rust's
+/// shortest-roundtrip form, and non-finite values become `null`.
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             out.push_str(&format!("{v:.1}"));
@@ -161,7 +183,9 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -180,10 +204,13 @@ fn push_escaped(out: &mut String, s: &str) {
 /// Parses JSON text into a [`JsonV`] tree. Object key order is
 /// preserved. Numbers without `.`/`e` and without a sign parse as
 /// [`JsonV::UInt`]; everything else numeric parses as [`JsonV::Float`].
+/// Containers nested deeper than [`MAX_DEPTH`] are an error.
 pub fn parse(text: &str) -> Result<JsonV, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -195,8 +222,10 @@ pub fn parse(text: &str) -> Result<JsonV, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +253,17 @@ impl Parser<'_> {
         }
     }
 
+    /// The text between two byte offsets that sit on ASCII delimiters,
+    /// so always on character boundaries.
+    fn slice(&self, start: usize, end: usize) -> Result<&str, String> {
+        self.text
+            .get(start..end)
+            .ok_or_else(|| format!("bytes {start}..{end} split a UTF-8 character"))
+    }
+
     fn literal(&mut self, word: &str, value: JsonV) -> Result<JsonV, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -239,8 +277,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonV::Bool(true)),
             Some(b'f') => self.literal("false", JsonV::Bool(false)),
             Some(b'"') => Ok(JsonV::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -250,57 +288,75 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonV, String>,
+    ) -> Result<JsonV, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// Copies each run of unescaped bytes as one slice, so a string
+    /// costs time linear in its length.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(self.slice(start, self.pos)?);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes one backslash escape at `pos` into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let code = u32::from_str_radix(
+                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                    16,
+                )
+                .map_err(|_| "bad \\u escape")?;
+                out.push(char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?);
+                self.pos += 4;
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn number(&mut self) -> Result<JsonV, String> {
@@ -312,7 +368,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = self.slice(start, self.pos)?;
         if !text.contains(['.', 'e', 'E', '-']) {
             text.parse::<u64>()
                 .map(JsonV::UInt)
@@ -437,6 +493,37 @@ mod tests {
         assert_eq!(parse("42.0").unwrap(), JsonV::Float(42.0));
         assert_eq!(parse("-1").unwrap(), JsonV::Float(-1.0));
         assert_eq!(parse("1e3").unwrap(), JsonV::Float(1000.0));
+    }
+
+    #[test]
+    fn signed_integers_render_but_parse_as_floats() {
+        assert_eq!(JsonV::Int(-3).render(), "-3\n");
+        assert_eq!(JsonV::Int(-3).render_compact(), "-3");
+        assert_eq!(parse("-3").unwrap(), JsonV::Float(-3.0));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let run = "x".repeat(2 << 20);
+        let text = format!("\"{run}\\\"\u{e9}{run}\"");
+        let start = std::time::Instant::now();
+        let parsed = parse(&text).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, JsonV::Str(format!("{run}\"\u{e9}{run}")));
+        assert!(elapsed.as_secs_f64() < 2.0, "4 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |depth: usize| format!("{}0{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nest(MAX_DEPTH)).is_ok(), "depth {MAX_DEPTH} {open}");
+            let err = parse(&nest(MAX_DEPTH + 1)).expect_err("too deep");
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // Far past the limit the parser still returns instead of
+        // overflowing the stack.
+        assert!(parse(&format!("{{\"rows\":{}", "[".repeat(100_000))).is_err());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! wall-clock; observation *counts* follow the same determinism
 //! contract as counters.
 
+pub mod artifact;
 pub mod drift;
 pub mod event;
 pub mod jsonv;

@@ -24,9 +24,12 @@
 //! counts of seeded, index-slotted work, with `BTreeMap`-sorted keys;
 //! wall-clock values, thread attribution, and event arrival order live
 //! only under `nondeterministic`. `span_timings` must cover exactly
-//! the `span_counts` keys — the schema check enforces the split.
+//! the `span_counts` keys — [`validate_run_trace`] enforces the split.
 
-use crate::jsonv::{self, JsonV};
+use crate::artifact::{
+    envelope, expect_arr, expect_keys, expect_obj, field, validate_envelope, write_artifact,
+};
+use crate::jsonv::JsonV;
 use crate::registry::Snapshot;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -133,15 +136,12 @@ pub fn deterministic_section(snapshot: &Snapshot) -> String {
 
 /// Renders the full run trace for `binary`.
 pub fn render_run_trace(binary: &str, snapshot: &Snapshot, thread_limit: usize) -> String {
-    JsonV::obj(vec![
-        ("schema", JsonV::Str(RUN_TRACE_SCHEMA.to_string())),
-        ("binary", JsonV::Str(binary.to_string())),
-        ("deterministic", deterministic_json(snapshot)),
-        (
-            "nondeterministic",
-            nondeterministic_json(snapshot, thread_limit),
-        ),
-    ])
+    envelope(
+        RUN_TRACE_SCHEMA,
+        binary,
+        deterministic_json(snapshot),
+        nondeterministic_json(snapshot, thread_limit),
+    )
     .render()
 }
 
@@ -153,25 +153,11 @@ pub fn write_run_trace(
     snapshot: &Snapshot,
     thread_limit: usize,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(RUN_TRACE_FILE);
-    std::fs::write(&path, render_run_trace(binary, snapshot, thread_limit))?;
-    Ok(path)
-}
-
-fn expect_obj<'a>(value: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], String> {
-    match value {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(format!("{what} must be an object, found {other:?}")),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!("{what} must have keys {keys:?}, found {found:?}"));
-    }
-    Ok(())
+    write_artifact(
+        dir,
+        RUN_TRACE_FILE,
+        &render_run_trace(binary, snapshot, thread_limit),
+    )
 }
 
 fn expect_sorted(fields: &[(String, JsonV)], what: &str) -> Result<(), String> {
@@ -199,48 +185,22 @@ fn expect_uint_map(value: &JsonV, what: &str) -> Result<Vec<String>, String> {
 
 /// Structurally validates a rendered `run_trace.json`, enforcing the
 /// schema id, the section split, sorted deterministic keys, and the
-/// span-counts/span-timings correspondence. Used by the
-/// `trace-schema-check` binary so sink drift fails CI.
+/// span-counts/span-timings correspondence. `artifact-check` runs it
+/// so sink drift fails CI.
 pub fn validate_run_trace(text: &str) -> Result<(), String> {
-    let root = jsonv::parse(text)?;
-    let fields = expect_obj(&root, "run trace")?;
-    expect_keys(
-        fields,
-        &["schema", "binary", "deterministic", "nondeterministic"],
-        "run trace",
-    )?;
+    let root = validate_envelope(text, RUN_TRACE_SCHEMA)?;
 
-    match root.get("schema") {
-        Some(JsonV::Str(s)) if s == RUN_TRACE_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema must be {RUN_TRACE_SCHEMA:?}, found {other:?}"
-            ))
-        }
-    }
-    match root.get("binary") {
-        Some(JsonV::Str(s)) if !s.is_empty() => {}
-        other => {
-            return Err(format!(
-                "binary must be a non-empty string, found {other:?}"
-            ))
-        }
-    }
-
-    let det = root.get("deterministic").expect("keys checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
         &["counters", "gauges", "span_counts", "event_counts"],
         "deterministic",
     )?;
-    expect_uint_map(det.get("counters").expect("keys checked"), "counters")?;
-    expect_uint_map(
-        det.get("event_counts").expect("keys checked"),
-        "event_counts",
-    )?;
-    let span_keys = expect_uint_map(det.get("span_counts").expect("keys checked"), "span_counts")?;
-    let gauges = expect_obj(det.get("gauges").expect("keys checked"), "gauges")?;
+    expect_uint_map(field(det, "counters")?, "counters")?;
+    expect_uint_map(field(det, "event_counts")?, "event_counts")?;
+    let span_keys = expect_uint_map(field(det, "span_counts")?, "span_counts")?;
+    let gauges = expect_obj(field(det, "gauges")?, "gauges")?;
     expect_sorted(gauges, "gauges")?;
     for (k, v) in gauges {
         if !matches!(v, JsonV::Float(_) | JsonV::Null) {
@@ -248,7 +208,7 @@ pub fn validate_run_trace(text: &str) -> Result<(), String> {
         }
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
@@ -259,10 +219,7 @@ pub fn validate_run_trace(text: &str) -> Result<(), String> {
         return Err("thread_limit must be an unsigned integer".to_string());
     }
 
-    let timings = expect_obj(
-        nondet.get("span_timings").expect("keys checked"),
-        "span_timings",
-    )?;
+    let timings = expect_obj(field(nondet, "span_timings")?, "span_timings")?;
     let timing_keys: Vec<String> = timings.iter().map(|(k, _)| k.clone()).collect();
     if timing_keys != span_keys {
         return Err(format!(
@@ -287,10 +244,7 @@ pub fn validate_run_trace(text: &str) -> Result<(), String> {
         }
     }
 
-    let events = match nondet.get("events") {
-        Some(JsonV::Arr(items)) => items,
-        other => return Err(format!("events must be an array, found {other:?}")),
-    };
+    let events = expect_arr(field(nondet, "events")?, "events")?;
     for (i, entry) in events.iter().enumerate() {
         let entry_fields = expect_obj(entry, "event")?;
         expect_keys(

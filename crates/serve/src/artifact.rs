@@ -41,6 +41,10 @@
 
 use crate::format::SavedModel;
 use crate::score::ScoreSummary;
+use obs::artifact::{
+    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    validate_envelope, write_artifact,
+};
 use obs::jsonv::{self, JsonV};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -176,45 +180,42 @@ pub fn render_scoring(
     summary: &ScoreSummary,
     timing: &ScoringTiming,
 ) -> String {
-    JsonV::obj(vec![
-        ("schema", JsonV::Str(SCORING_SCHEMA.to_string())),
-        ("binary", JsonV::Str(binary.to_string())),
-        ("deterministic", deterministic_json(model, summary)),
-        (
-            "nondeterministic",
-            JsonV::obj(vec![
-                ("thread_limit", JsonV::UInt(timing.thread_limit as u64)),
-                ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
-                ("rows_per_second", JsonV::Float(timing.rows_per_second)),
-                (
-                    "scorebench",
-                    JsonV::obj(vec![
-                        ("rows", JsonV::UInt(timing.scorebench.rows as u64)),
-                        (
-                            "recursive_rows_per_second",
-                            JsonV::Float(timing.scorebench.recursive_rows_per_second),
-                        ),
-                        (
-                            "branchless_rows_per_second",
-                            JsonV::Float(timing.scorebench.branchless_rows_per_second),
-                        ),
-                        (
-                            "blocked_rows_per_second",
-                            JsonV::Float(timing.scorebench.blocked_rows_per_second),
-                        ),
-                        (
-                            "branchless_speedup",
-                            JsonV::Float(timing.scorebench.branchless_speedup()),
-                        ),
-                        (
-                            "blocked_speedup",
-                            JsonV::Float(timing.scorebench.blocked_speedup()),
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
+    envelope(
+        SCORING_SCHEMA,
+        binary,
+        deterministic_json(model, summary),
+        JsonV::obj(vec![
+            ("thread_limit", JsonV::UInt(timing.thread_limit as u64)),
+            ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
+            ("rows_per_second", JsonV::Float(timing.rows_per_second)),
+            (
+                "scorebench",
+                JsonV::obj(vec![
+                    ("rows", JsonV::UInt(timing.scorebench.rows as u64)),
+                    (
+                        "recursive_rows_per_second",
+                        JsonV::Float(timing.scorebench.recursive_rows_per_second),
+                    ),
+                    (
+                        "branchless_rows_per_second",
+                        JsonV::Float(timing.scorebench.branchless_rows_per_second),
+                    ),
+                    (
+                        "blocked_rows_per_second",
+                        JsonV::Float(timing.scorebench.blocked_rows_per_second),
+                    ),
+                    (
+                        "branchless_speedup",
+                        JsonV::Float(timing.scorebench.branchless_speedup()),
+                    ),
+                    (
+                        "blocked_speedup",
+                        JsonV::Float(timing.scorebench.blocked_speedup()),
+                    ),
+                ]),
+            ),
+        ]),
+    )
     .render()
 }
 
@@ -227,73 +228,20 @@ pub fn write_scoring(
     summary: &ScoreSummary,
     timing: &ScoringTiming,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(SCORING_FILE);
-    std::fs::write(&path, render_scoring(binary, model, summary, timing))?;
-    Ok(path)
-}
-
-fn expect_obj<'a>(value: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], String> {
-    match value {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(format!("{what} must be an object, found {other:?}")),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!("{what} must have keys {keys:?}, found {found:?}"));
-    }
-    Ok(())
-}
-
-fn expect_uint(value: &JsonV, what: &str) -> Result<u64, String> {
-    match value {
-        JsonV::UInt(v) => Ok(*v),
-        other => Err(format!(
-            "{what} must be an unsigned integer, found {other:?}"
-        )),
-    }
-}
-
-fn expect_float(value: &JsonV, what: &str) -> Result<f64, String> {
-    match value {
-        JsonV::Float(v) => Ok(*v),
-        other => Err(format!("{what} must be a float, found {other:?}")),
-    }
+    write_artifact(
+        dir,
+        SCORING_FILE,
+        &render_scoring(binary, model, summary, timing),
+    )
 }
 
 /// Structurally validates a rendered `scoring.json`: schema id, the
 /// deterministic/nondeterministic split, field types, and the counting
-/// identities. Used by the `scoring-schema-check` binary in CI.
+/// identities. `artifact-check` runs it in CI.
 pub fn validate_scoring(text: &str) -> Result<(), String> {
-    let root = jsonv::parse(text)?;
-    let fields = expect_obj(&root, "scoring artifact")?;
-    expect_keys(
-        fields,
-        &["schema", "binary", "deterministic", "nondeterministic"],
-        "scoring artifact",
-    )?;
+    let root = validate_envelope(text, SCORING_SCHEMA)?;
 
-    match root.get("schema") {
-        Some(JsonV::Str(s)) if s == SCORING_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema must be {SCORING_SCHEMA:?}, found {other:?}"
-            ))
-        }
-    }
-    match root.get("binary") {
-        Some(JsonV::Str(s)) if !s.is_empty() => {}
-        other => {
-            return Err(format!(
-                "binary must be a non-empty string, found {other:?}"
-            ))
-        }
-    }
-
-    let det = root.get("deterministic").expect("keys checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
@@ -306,7 +254,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         "deterministic",
     )?;
 
-    let model = det.get("model").expect("keys checked");
+    let model = field(det, "model")?;
     let model_fields = expect_obj(model, "model")?;
     expect_keys(
         model_fields,
@@ -321,27 +269,24 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         "model",
     )?;
     for key in ["tree_count", "feature_count", "class_count"] {
-        if expect_uint(model.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(model, key)?, key)? == 0 {
             return Err(format!("model.{key} must be nonzero"));
         }
     }
-    expect_uint(model.get("seed").expect("keys checked"), "seed")?;
-    let q = expect_float(
-        model.get("positive_fraction").expect("keys checked"),
-        "positive_fraction",
-    )?;
+    expect_uint(field(model, "seed")?, "seed")?;
+    let q = expect_float(field(model, "positive_fraction")?, "positive_fraction")?;
     if !(0.0..=1.0).contains(&q) {
         return Err(format!("positive_fraction {q} outside [0, 1]"));
     }
     let t = expect_float(
-        model.get("confidence_threshold").expect("keys checked"),
+        field(model, "confidence_threshold")?,
         "confidence_threshold",
     )?;
     if !(0.5..=1.0).contains(&t) {
         return Err(format!("confidence_threshold {t} outside [0.5, 1]"));
     }
 
-    let counts = det.get("counts").expect("keys checked");
+    let counts = field(det, "counts")?;
     let count_fields = expect_obj(counts, "counts")?;
     expect_keys(
         count_fields,
@@ -356,7 +301,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         ],
         "counts",
     )?;
-    let get_count = |key: &str| expect_uint(counts.get(key).expect("keys checked"), key);
+    let get_count = |key: &str| expect_uint(field(counts, key)?, key);
     let rows = get_count("rows")?;
     let confident = get_count("confident")?;
     if confident + get_count("uncertain")? != rows {
@@ -370,21 +315,17 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
     }
 
     let mean = expect_float(
-        det.get("mean_positive_probability").expect("keys checked"),
+        field(det, "mean_positive_probability")?,
         "mean_positive_probability",
     )?;
     if !(0.0..=1.0).contains(&mean) {
         return Err(format!("mean_positive_probability {mean} outside [0, 1]"));
     }
 
-    let histogram = match det.get("probability_histogram") {
-        Some(JsonV::Arr(items)) => items,
-        other => {
-            return Err(format!(
-                "probability_histogram must be an array, found {other:?}"
-            ))
-        }
-    };
+    let histogram = expect_arr(
+        field(det, "probability_histogram")?,
+        "probability_histogram",
+    )?;
     if histogram.len() != 10 {
         return Err(format!(
             "probability_histogram must have 10 buckets, found {}",
@@ -401,7 +342,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         ));
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
@@ -413,20 +354,14 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         ],
         "nondeterministic",
     )?;
-    expect_uint(
-        nondet.get("thread_limit").expect("keys checked"),
-        "thread_limit",
-    )?;
+    expect_uint(field(nondet, "thread_limit")?, "thread_limit")?;
     for key in ["elapsed_ms", "rows_per_second"] {
-        if !matches!(
-            nondet.get(key).expect("keys checked"),
-            JsonV::Float(_) | JsonV::Null
-        ) {
+        if !matches!(field(nondet, key)?, JsonV::Float(_) | JsonV::Null) {
             return Err(format!("{key} must be a float"));
         }
     }
 
-    let bench = nondet.get("scorebench").expect("keys checked");
+    let bench = field(nondet, "scorebench")?;
     let bench_fields = expect_obj(bench, "scorebench")?;
     expect_keys(
         bench_fields,
@@ -440,7 +375,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         ],
         "scorebench",
     )?;
-    expect_uint(bench.get("rows").expect("keys checked"), "scorebench.rows")?;
+    expect_uint(field(bench, "rows")?, "scorebench.rows")?;
     for key in [
         "recursive_rows_per_second",
         "branchless_rows_per_second",
@@ -448,7 +383,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         "branchless_speedup",
         "blocked_speedup",
     ] {
-        let v = expect_float(bench.get(key).expect("keys checked"), key)?;
+        let v = expect_float(field(bench, key)?, key)?;
         if !v.is_finite() || v < 0.0 {
             return Err(format!("scorebench.{key} {v} must be finite and >= 0"));
         }
@@ -463,17 +398,11 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
 /// the exact counts the scoring artifact shipped.
 pub fn training_score_histogram(text: &str) -> Result<[u64; 10], String> {
     let root = jsonv::parse(text)?;
-    let det = root
-        .get("deterministic")
-        .ok_or("scoring artifact has no deterministic section")?;
-    let histogram = match det.get("probability_histogram") {
-        Some(JsonV::Arr(items)) => items,
-        other => {
-            return Err(format!(
-                "probability_histogram must be an array, found {other:?}"
-            ))
-        }
-    };
+    let det = field(&root, "deterministic")?;
+    let histogram = expect_arr(
+        field(det, "probability_histogram")?,
+        "probability_histogram",
+    )?;
     if histogram.len() != 10 {
         return Err(format!(
             "probability_histogram must have 10 buckets, found {}",

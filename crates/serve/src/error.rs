@@ -42,6 +42,15 @@ impl std::error::Error for ModelError {
     }
 }
 
+/// The structural checks shared with artifact validation
+/// (`obs::artifact`) report a `String`; in a model file every such
+/// failure is a schema violation.
+impl From<String> for ModelError {
+    fn from(message: String) -> Self {
+        ModelError::Schema(message)
+    }
+}
+
 impl From<std::io::Error> for ModelError {
     fn from(e: std::io::Error) -> Self {
         ModelError::Io(e)

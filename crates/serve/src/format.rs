@@ -52,6 +52,7 @@ use forest::{
     confidence_threshold, DecisionTree, FlatTree, ForestKernel, GridSearchResult, MaxFeatures,
     RandomForest, RandomForestParams, TreeParams,
 };
+use obs::artifact::{expect_arr, expect_float, expect_keys, expect_obj, field};
 use obs::jsonv::{self, JsonV};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -163,7 +164,7 @@ impl SavedModel {
     /// of any kind returns a typed [`ModelError`], never panics.
     pub fn parse(text: &str) -> Result<SavedModel, ModelError> {
         let root = jsonv::parse(text).map_err(ModelError::Parse)?;
-        let fields = as_obj(&root, "model")?;
+        let fields = expect_obj(&root, "model")?;
         expect_keys(fields, &["schema", "forest", "metadata"], "model")?;
         match root.get("schema") {
             Some(JsonV::Str(s)) if s == MODEL_SCHEMA => {}
@@ -173,8 +174,8 @@ impl SavedModel {
                 )))
             }
         }
-        let forest = parse_forest(root.get("forest").expect("keys checked"))?;
-        let meta = parse_meta(root.get("metadata").expect("keys checked"))?;
+        let forest = parse_forest(field(&root, "forest")?)?;
+        let meta = parse_meta(field(&root, "metadata")?)?;
         Ok(SavedModel::new(forest, meta))
     }
 
@@ -336,49 +337,12 @@ fn params_json(p: &RandomForestParams) -> JsonV {
 
 // ---- strict parsing helpers (typed errors, never panic) ----
 
-fn as_obj<'a>(v: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], ModelError> {
-    match v {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(ModelError::Schema(format!(
-            "{what} must be an object, found {other:?}"
-        ))),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), ModelError> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(ModelError::Schema(format!(
-            "{what} must have keys {keys:?}, found {found:?}"
-        )));
-    }
-    Ok(())
-}
-
-fn as_arr<'a>(v: &'a JsonV, what: &str) -> Result<&'a [JsonV], ModelError> {
-    match v {
-        JsonV::Arr(items) => Ok(items),
-        other => Err(ModelError::Schema(format!(
-            "{what} must be an array, found {other:?}"
-        ))),
-    }
-}
-
 fn as_usize(v: &JsonV, what: &str) -> Result<usize, ModelError> {
     match v {
         JsonV::UInt(n) => usize::try_from(*n)
             .map_err(|_| ModelError::Schema(format!("{what} value {n} does not fit in a usize"))),
         other => Err(ModelError::Schema(format!(
             "{what} must be an unsigned integer, found {other:?}"
-        ))),
-    }
-}
-
-fn as_float(v: &JsonV, what: &str) -> Result<f64, ModelError> {
-    match v {
-        JsonV::Float(f) => Ok(*f),
-        other => Err(ModelError::Schema(format!(
-            "{what} must be a float, found {other:?}"
         ))),
     }
 }
@@ -402,14 +366,14 @@ fn as_bool(v: &JsonV, what: &str) -> Result<bool, ModelError> {
 }
 
 fn float_vec(v: &JsonV, what: &str) -> Result<Vec<f64>, ModelError> {
-    as_arr(v, what)?
+    expect_arr(v, what)?
         .iter()
-        .map(|item| as_float(item, what))
+        .map(|item| Ok(expect_float(item, what)?))
         .collect()
 }
 
 fn u32_vec(v: &JsonV, what: &str) -> Result<Vec<u32>, ModelError> {
-    as_arr(v, what)?
+    expect_arr(v, what)?
         .iter()
         .map(|item| match item {
             JsonV::UInt(n) => u32::try_from(*n)
@@ -422,7 +386,7 @@ fn u32_vec(v: &JsonV, what: &str) -> Result<Vec<u32>, ModelError> {
 }
 
 fn u8_vec(v: &JsonV, what: &str) -> Result<Vec<u8>, ModelError> {
-    as_arr(v, what)?
+    expect_arr(v, what)?
         .iter()
         .map(|item| match item {
             JsonV::UInt(n) => u8::try_from(*n)
@@ -435,14 +399,14 @@ fn u8_vec(v: &JsonV, what: &str) -> Result<Vec<u8>, ModelError> {
 }
 
 fn string_vec(v: &JsonV, what: &str) -> Result<Vec<String>, ModelError> {
-    as_arr(v, what)?
+    expect_arr(v, what)?
         .iter()
         .map(|item| as_str(item, what).map(str::to_string))
         .collect()
 }
 
 fn parse_forest(v: &JsonV) -> Result<RandomForest, ModelError> {
-    let fields = as_obj(v, "forest")?;
+    let fields = expect_obj(v, "forest")?;
     expect_keys(
         fields,
         &[
@@ -454,13 +418,10 @@ fn parse_forest(v: &JsonV) -> Result<RandomForest, ModelError> {
         ],
         "forest",
     )?;
-    let feature_names = string_vec(
-        v.get("feature_names").expect("keys checked"),
-        "feature_names",
-    )?;
-    let class_count = as_usize(v.get("class_count").expect("keys checked"), "class_count")?;
-    let tree_count = as_usize(v.get("tree_count").expect("keys checked"), "tree_count")?;
-    let oob_accuracy = match v.get("oob_accuracy").expect("keys checked") {
+    let feature_names = string_vec(field(v, "feature_names")?, "feature_names")?;
+    let class_count = as_usize(field(v, "class_count")?, "class_count")?;
+    let tree_count = as_usize(field(v, "tree_count")?, "tree_count")?;
+    let oob_accuracy = match field(v, "oob_accuracy")? {
         JsonV::Null => None,
         JsonV::Float(f) => Some(*f),
         other => {
@@ -469,7 +430,7 @@ fn parse_forest(v: &JsonV) -> Result<RandomForest, ModelError> {
             )))
         }
     };
-    let trees_json = as_arr(v.get("trees").expect("keys checked"), "trees")?;
+    let trees_json = expect_arr(field(v, "trees")?, "trees")?;
     if trees_json.len() != tree_count {
         return Err(ModelError::Schema(format!(
             "tree_count says {tree_count} trees, found {}",
@@ -491,7 +452,7 @@ fn parse_tree(
     index: usize,
 ) -> Result<DecisionTree, ModelError> {
     let what = format!("trees[{index}]");
-    let fields = as_obj(v, &what)?;
+    let fields = expect_obj(v, &what)?;
     expect_keys(
         fields,
         &[
@@ -508,19 +469,19 @@ fn parse_tree(
     let flat = FlatTree {
         feature_count,
         class_count,
-        kind: u8_vec(v.get("kind").expect("keys checked"), &what)?,
-        feature: u32_vec(v.get("feature").expect("keys checked"), &what)?,
-        threshold: float_vec(v.get("threshold").expect("keys checked"), &what)?,
-        left: u32_vec(v.get("left").expect("keys checked"), &what)?,
-        right: u32_vec(v.get("right").expect("keys checked"), &what)?,
-        leaf_probabilities: float_vec(v.get("leaf_probabilities").expect("keys checked"), &what)?,
-        importances: float_vec(v.get("importances").expect("keys checked"), &what)?,
+        kind: u8_vec(field(v, "kind")?, &what)?,
+        feature: u32_vec(field(v, "feature")?, &what)?,
+        threshold: float_vec(field(v, "threshold")?, &what)?,
+        left: u32_vec(field(v, "left")?, &what)?,
+        right: u32_vec(field(v, "right")?, &what)?,
+        leaf_probabilities: float_vec(field(v, "leaf_probabilities")?, &what)?,
+        importances: float_vec(field(v, "importances")?, &what)?,
     };
     DecisionTree::from_flat(&flat).map_err(|e| ModelError::Invalid(format!("{what}: {e}")))
 }
 
 fn parse_meta(v: &JsonV) -> Result<ModelMeta, ModelError> {
-    let fields = as_obj(v, "metadata")?;
+    let fields = expect_obj(v, "metadata")?;
     expect_keys(
         fields,
         &[
@@ -532,26 +493,20 @@ fn parse_meta(v: &JsonV) -> Result<ModelMeta, ModelError> {
         ],
         "metadata",
     )?;
-    let positive_fraction = as_float(
-        v.get("positive_fraction").expect("keys checked"),
-        "positive_fraction",
-    )?;
+    let positive_fraction = expect_float(field(v, "positive_fraction")?, "positive_fraction")?;
     if !positive_fraction.is_finite() || !(0.0..=1.0).contains(&positive_fraction) {
         return Err(ModelError::Invalid(format!(
             "positive_fraction {positive_fraction} outside [0, 1]"
         )));
     }
-    let stored = as_float(
-        v.get("confidence_threshold").expect("keys checked"),
-        "confidence_threshold",
-    )?;
+    let stored = expect_float(field(v, "confidence_threshold")?, "confidence_threshold")?;
     let derived = confidence_threshold(positive_fraction);
     if stored.to_bits() != derived.to_bits() {
         return Err(ModelError::Invalid(format!(
             "confidence_threshold {stored} disagrees with max(q, 1 - q) = {derived}"
         )));
     }
-    let seed = match v.get("seed").expect("keys checked") {
+    let seed = match field(v, "seed")? {
         JsonV::UInt(n) => *n,
         other => {
             return Err(ModelError::Schema(format!(
@@ -559,26 +514,26 @@ fn parse_meta(v: &JsonV) -> Result<ModelMeta, ModelError> {
             )))
         }
     };
-    let params = parse_params(v.get("params").expect("keys checked"), "params")?;
-    let grid = match v.get("grid").expect("keys checked") {
+    let params = parse_params(field(v, "params")?, "params")?;
+    let grid = match field(v, "grid")? {
         JsonV::Null => None,
         g => {
-            let gf = as_obj(g, "grid")?;
+            let gf = expect_obj(g, "grid")?;
             expect_keys(gf, &["best_score", "candidates"], "grid")?;
-            let best_score = as_float(g.get("best_score").expect("keys checked"), "best_score")?;
+            let best_score = expect_float(field(g, "best_score")?, "best_score")?;
             if !best_score.is_finite() {
                 return Err(ModelError::Invalid(format!(
                     "best_score {best_score} is not finite"
                 )));
             }
-            let cands = as_arr(g.get("candidates").expect("keys checked"), "candidates")?;
+            let cands = expect_arr(field(g, "candidates")?, "candidates")?;
             let mut candidates = Vec::with_capacity(cands.len());
             for (i, c) in cands.iter().enumerate() {
                 let what = format!("candidates[{i}]");
-                let cf = as_obj(c, &what)?;
+                let cf = expect_obj(c, &what)?;
                 expect_keys(cf, &["params", "score"], &what)?;
-                let p = parse_params(c.get("params").expect("keys checked"), &what)?;
-                let score = as_float(c.get("score").expect("keys checked"), &what)?;
+                let p = parse_params(field(c, "params")?, &what)?;
+                let score = expect_float(field(c, "score")?, &what)?;
                 if !score.is_finite() {
                     return Err(ModelError::Invalid(format!(
                         "{what} score {score} is not finite"
@@ -601,7 +556,7 @@ fn parse_meta(v: &JsonV) -> Result<ModelMeta, ModelError> {
 }
 
 fn parse_params(v: &JsonV, what: &str) -> Result<RandomForestParams, ModelError> {
-    let fields = as_obj(v, what)?;
+    let fields = expect_obj(v, what)?;
     expect_keys(
         fields,
         &[
@@ -614,7 +569,7 @@ fn parse_params(v: &JsonV, what: &str) -> Result<RandomForestParams, ModelError>
         ],
         what,
     )?;
-    let max_features = match as_str(v.get("max_features").expect("keys checked"), "max_features")? {
+    let max_features = match as_str(field(v, "max_features")?, "max_features")? {
         "all" => MaxFeatures::All,
         "sqrt" => MaxFeatures::Sqrt,
         "log2" => MaxFeatures::Log2,
@@ -625,20 +580,14 @@ fn parse_params(v: &JsonV, what: &str) -> Result<RandomForestParams, ModelError>
             .ok_or_else(|| ModelError::Schema(format!("unknown max_features {other:?}")))?,
     };
     Ok(RandomForestParams {
-        n_trees: as_usize(v.get("n_trees").expect("keys checked"), "n_trees")?,
+        n_trees: as_usize(field(v, "n_trees")?, "n_trees")?,
         tree: TreeParams {
-            max_depth: as_usize(v.get("max_depth").expect("keys checked"), "max_depth")?,
-            min_samples_split: as_usize(
-                v.get("min_samples_split").expect("keys checked"),
-                "min_samples_split",
-            )?,
-            min_samples_leaf: as_usize(
-                v.get("min_samples_leaf").expect("keys checked"),
-                "min_samples_leaf",
-            )?,
+            max_depth: as_usize(field(v, "max_depth")?, "max_depth")?,
+            min_samples_split: as_usize(field(v, "min_samples_split")?, "min_samples_split")?,
+            min_samples_leaf: as_usize(field(v, "min_samples_leaf")?, "min_samples_leaf")?,
         },
         max_features,
-        bootstrap: as_bool(v.get("bootstrap").expect("keys checked"), "bootstrap")?,
+        bootstrap: as_bool(field(v, "bootstrap")?, "bootstrap")?,
     })
 }
 

@@ -34,7 +34,11 @@
 //! rows_scored, latency percentiles monotone) so a drifting producer
 //! fails CI instead of shipping inconsistent artifacts.
 
-use obs::jsonv::{self, JsonV};
+use obs::artifact::{
+    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    validate_envelope, write_artifact,
+};
+use obs::jsonv::JsonV;
 use serve::SavedModel;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -205,36 +209,30 @@ pub fn render_serving(
     counts: &ServingCounts,
     timing: &ServingTiming,
 ) -> String {
-    JsonV::obj(vec![
-        ("schema", JsonV::Str(SERVING_SCHEMA.to_string())),
-        ("binary", JsonV::Str(binary.to_string())),
-        (
-            "deterministic",
-            deterministic_json(config, corpus, model, counts),
-        ),
-        (
-            "nondeterministic",
-            JsonV::obj(vec![
-                ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
-                (
-                    "requests_per_second",
-                    JsonV::Float(timing.requests_per_second),
-                ),
-                ("rows_per_second", JsonV::Float(timing.rows_per_second)),
-                ("retries_429", JsonV::UInt(timing.retries_429)),
-                (
-                    "latency_ms",
-                    JsonV::obj(vec![
-                        ("p50", JsonV::Float(timing.latency_p50_ms)),
-                        ("p95", JsonV::Float(timing.latency_p95_ms)),
-                        ("p99", JsonV::Float(timing.latency_p99_ms)),
-                        ("max", JsonV::Float(timing.latency_max_ms)),
-                        ("mean", JsonV::Float(timing.latency_mean_ms)),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
+    envelope(
+        SERVING_SCHEMA,
+        binary,
+        deterministic_json(config, corpus, model, counts),
+        JsonV::obj(vec![
+            ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
+            (
+                "requests_per_second",
+                JsonV::Float(timing.requests_per_second),
+            ),
+            ("rows_per_second", JsonV::Float(timing.rows_per_second)),
+            ("retries_429", JsonV::UInt(timing.retries_429)),
+            (
+                "latency_ms",
+                JsonV::obj(vec![
+                    ("p50", JsonV::Float(timing.latency_p50_ms)),
+                    ("p95", JsonV::Float(timing.latency_p95_ms)),
+                    ("p99", JsonV::Float(timing.latency_p99_ms)),
+                    ("max", JsonV::Float(timing.latency_max_ms)),
+                    ("mean", JsonV::Float(timing.latency_mean_ms)),
+                ]),
+            ),
+        ]),
+    )
     .render()
 }
 
@@ -250,76 +248,20 @@ pub fn write_serving(
     counts: &ServingCounts,
     timing: &ServingTiming,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(SERVING_FILE);
-    std::fs::write(
-        &path,
-        render_serving(binary, config, corpus, model, counts, timing),
-    )?;
-    Ok(path)
-}
-
-fn expect_obj<'a>(value: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], String> {
-    match value {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(format!("{what} must be an object, found {other:?}")),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!("{what} must have keys {keys:?}, found {found:?}"));
-    }
-    Ok(())
-}
-
-fn expect_uint(value: &JsonV, what: &str) -> Result<u64, String> {
-    match value {
-        JsonV::UInt(v) => Ok(*v),
-        other => Err(format!(
-            "{what} must be an unsigned integer, found {other:?}"
-        )),
-    }
-}
-
-fn expect_float(value: &JsonV, what: &str) -> Result<f64, String> {
-    match value {
-        JsonV::Float(v) => Ok(*v),
-        other => Err(format!("{what} must be a float, found {other:?}")),
-    }
+    write_artifact(
+        dir,
+        SERVING_FILE,
+        &render_serving(binary, config, corpus, model, counts, timing),
+    )
 }
 
 /// Structurally validates a rendered `serving.json`: schema id, the
 /// deterministic/nondeterministic split, field types, and the counting
-/// identities. Used by the `serving-schema-check` binary in CI.
+/// identities. `artifact-check` runs it in CI.
 pub fn validate_serving(text: &str) -> Result<(), String> {
-    let root = jsonv::parse(text)?;
-    let fields = expect_obj(&root, "serving artifact")?;
-    expect_keys(
-        fields,
-        &["schema", "binary", "deterministic", "nondeterministic"],
-        "serving artifact",
-    )?;
+    let root = validate_envelope(text, SERVING_SCHEMA)?;
 
-    match root.get("schema") {
-        Some(JsonV::Str(s)) if s == SERVING_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema must be {SERVING_SCHEMA:?}, found {other:?}"
-            ))
-        }
-    }
-    match root.get("binary") {
-        Some(JsonV::Str(s)) if !s.is_empty() => {}
-        other => {
-            return Err(format!(
-                "binary must be a non-empty string, found {other:?}"
-            ))
-        }
-    }
-
-    let det = root.get("deterministic").expect("keys checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
@@ -327,7 +269,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         "deterministic",
     )?;
 
-    let config = det.get("config").expect("keys checked");
+    let config = field(det, "config")?;
     let config_fields = expect_obj(config, "config")?;
     expect_keys(
         config_fields,
@@ -350,24 +292,21 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         "queue_capacity",
         "batch_max_rows",
     ] {
-        if expect_uint(config.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(config, key)?, key)? == 0 {
             return Err(format!("config.{key} must be nonzero"));
         }
     }
-    expect_uint(
-        config.get("batch_max_wait_ms").expect("keys checked"),
-        "batch_max_wait_ms",
-    )?;
+    expect_uint(field(config, "batch_max_wait_ms")?, "batch_max_wait_ms")?;
 
-    let corpus = det.get("corpus").expect("keys checked");
+    let corpus = field(det, "corpus")?;
     let corpus_fields = expect_obj(corpus, "corpus")?;
     expect_keys(corpus_fields, &["rows", "seed"], "corpus")?;
-    if expect_uint(corpus.get("rows").expect("keys checked"), "corpus.rows")? == 0 {
+    if expect_uint(field(corpus, "rows")?, "corpus.rows")? == 0 {
         return Err("corpus.rows must be nonzero".to_string());
     }
-    expect_uint(corpus.get("seed").expect("keys checked"), "corpus.seed")?;
+    expect_uint(field(corpus, "seed")?, "corpus.seed")?;
 
-    let model = det.get("model").expect("keys checked");
+    let model = field(det, "model")?;
     let model_fields = expect_obj(model, "model")?;
     expect_keys(
         model_fields,
@@ -380,26 +319,23 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         "model",
     )?;
     for key in ["tree_count", "feature_count"] {
-        if expect_uint(model.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(model, key)?, key)? == 0 {
             return Err(format!("model.{key} must be nonzero"));
         }
     }
-    let q = expect_float(
-        model.get("positive_fraction").expect("keys checked"),
-        "positive_fraction",
-    )?;
+    let q = expect_float(field(model, "positive_fraction")?, "positive_fraction")?;
     if !(0.0..=1.0).contains(&q) {
         return Err(format!("positive_fraction {q} outside [0, 1]"));
     }
     let t = expect_float(
-        model.get("confidence_threshold").expect("keys checked"),
+        field(model, "confidence_threshold")?,
         "confidence_threshold",
     )?;
     if !(0.5..=1.0).contains(&t) {
         return Err(format!("confidence_threshold {t} outside [0.5, 1]"));
     }
 
-    let counts = det.get("counts").expect("keys checked");
+    let counts = field(det, "counts")?;
     let count_fields = expect_obj(counts, "counts")?;
     expect_keys(
         count_fields,
@@ -412,7 +348,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         ],
         "counts",
     )?;
-    let get_count = |key: &str| expect_uint(counts.get(key).expect("keys checked"), key);
+    let get_count = |key: &str| expect_uint(field(counts, key)?, key);
     let sent = get_count("requests_sent")?;
     if sent == 0 {
         return Err("counts.requests_sent must be nonzero".to_string());
@@ -428,10 +364,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         return Err("rows_scored must be nonzero when responses_ok > 0".to_string());
     }
 
-    let histogram = match det.get("score_histogram") {
-        Some(JsonV::Arr(items)) => items,
-        other => return Err(format!("score_histogram must be an array, found {other:?}")),
-    };
+    let histogram = expect_arr(field(det, "score_histogram")?, "score_histogram")?;
     if histogram.len() != 10 {
         return Err(format!(
             "score_histogram must have 10 buckets, found {}",
@@ -448,7 +381,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         ));
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
@@ -461,24 +394,21 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         ],
         "nondeterministic",
     )?;
-    expect_uint(
-        nondet.get("retries_429").expect("keys checked"),
-        "retries_429",
-    )?;
+    expect_uint(field(nondet, "retries_429")?, "retries_429")?;
     for key in ["elapsed_ms", "requests_per_second", "rows_per_second"] {
-        let v = expect_float(nondet.get(key).expect("keys checked"), key)?;
+        let v = expect_float(field(nondet, key)?, key)?;
         if !v.is_finite() || v < 0.0 {
             return Err(format!("{key} must be finite and non-negative, found {v}"));
         }
     }
-    let latency = nondet.get("latency_ms").expect("keys checked");
+    let latency = field(nondet, "latency_ms")?;
     let latency_fields = expect_obj(latency, "latency_ms")?;
     expect_keys(
         latency_fields,
         &["p50", "p95", "p99", "max", "mean"],
         "latency_ms",
     )?;
-    let get_latency = |key: &str| expect_float(latency.get(key).expect("keys checked"), key);
+    let get_latency = |key: &str| expect_float(field(latency, key)?, key);
     let p50 = get_latency("p50")?;
     let p95 = get_latency("p95")?;
     let p99 = get_latency("p99")?;

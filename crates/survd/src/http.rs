@@ -17,6 +17,11 @@
 //! harness ([`crate::chaos`]) drives each of these classes
 //! deliberately and asserts the mapping.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::io::{self, BufRead, Write};
 
 /// Size bounds applied while reading a request.
@@ -236,8 +241,9 @@ pub fn read_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<Re
 
     let mut body = vec![0u8; content_length];
     let mut filled = 0;
-    while filled < content_length {
-        match reader.read(&mut body[filled..]) {
+    // Read until the unfilled tail of the body is empty.
+    while let Some(unfilled @ [_, ..]) = body.get_mut(filled..) {
+        match reader.read(unfilled) {
             Ok(0) => return Err(malformed(400, "truncated body")),
             Ok(n) => filled += n,
             Err(e) if is_timeout(&e) => {

@@ -42,10 +42,14 @@
 //! Schema evolution follows the workspace rule (DESIGN.md §14): any
 //! key addition, removal, or reorder bumps the `/v1` suffix; the
 //! validator pins exact key order so a drifting producer fails the
-//! `latency-schema-check` CI step instead of shipping silently.
+//! `artifact-check` CI step instead of shipping silently.
 
 use crate::server::ServerConfig;
-use obs::jsonv::{self, JsonV};
+use obs::artifact::{
+    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    validate_envelope, write_artifact,
+};
+use obs::jsonv::JsonV;
 use obs::sketch::{Sketch, SKETCH_BUCKETS, SKETCH_MAX_EXP, SKETCH_MIN_EXP};
 use obs::{DriftSnapshot, DRIFT_BUCKETS};
 use std::io;
@@ -230,45 +234,42 @@ pub fn render_latency(
     drift: &DriftSnapshot,
     client: &ClientLatency,
 ) -> String {
-    JsonV::obj(vec![
-        ("schema", JsonV::Str(LATENCY_SCHEMA.to_string())),
-        ("binary", JsonV::Str(binary.to_string())),
-        ("deterministic", deterministic_json(run, stages, drift)),
-        (
-            "nondeterministic",
-            JsonV::obj(vec![
-                (
-                    "config",
-                    JsonV::obj(vec![
-                        ("workers", JsonV::UInt(config.workers as u64)),
-                        ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
-                        ("batch_max_rows", JsonV::UInt(config.batch.max_rows as u64)),
-                        ("batch_max_wait_ms", JsonV::UInt(config.batch.max_wait_ms)),
-                    ]),
+    envelope(
+        LATENCY_SCHEMA,
+        binary,
+        deterministic_json(run, stages, drift),
+        JsonV::obj(vec![
+            (
+                "config",
+                JsonV::obj(vec![
+                    ("workers", JsonV::UInt(config.workers as u64)),
+                    ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
+                    ("batch_max_rows", JsonV::UInt(config.batch.max_rows as u64)),
+                    ("batch_max_wait_ms", JsonV::UInt(config.batch.max_wait_ms)),
+                ]),
+            ),
+            (
+                "server_stages_ms",
+                JsonV::Obj(
+                    STAGE_NAMES
+                        .iter()
+                        .zip(stages.iter())
+                        .map(|(&name, sketch)| (name.to_string(), stage_json(sketch)))
+                        .collect(),
                 ),
-                (
-                    "server_stages_ms",
-                    JsonV::Obj(
-                        STAGE_NAMES
-                            .iter()
-                            .zip(stages.iter())
-                            .map(|(&name, sketch)| (name.to_string(), stage_json(sketch)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "client_latency_ms",
-                    JsonV::obj(vec![
-                        ("p50", JsonV::Float(client.p50)),
-                        ("p95", JsonV::Float(client.p95)),
-                        ("p99", JsonV::Float(client.p99)),
-                        ("max", JsonV::Float(client.max)),
-                        ("mean", JsonV::Float(client.mean)),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
+            ),
+            (
+                "client_latency_ms",
+                JsonV::obj(vec![
+                    ("p50", JsonV::Float(client.p50)),
+                    ("p95", JsonV::Float(client.p95)),
+                    ("p99", JsonV::Float(client.p99)),
+                    ("max", JsonV::Float(client.max)),
+                    ("mean", JsonV::Float(client.mean)),
+                ]),
+            ),
+        ]),
+    )
     .render()
 }
 
@@ -283,51 +284,15 @@ pub fn write_latency(
     drift: &DriftSnapshot,
     client: &ClientLatency,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(LATENCY_FILE);
-    std::fs::write(
-        &path,
-        render_latency(binary, config, run, stages, drift, client),
-    )?;
-    Ok(path)
+    write_artifact(
+        dir,
+        LATENCY_FILE,
+        &render_latency(binary, config, run, stages, drift, client),
+    )
 }
 
-fn expect_obj<'a>(value: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], String> {
-    match value {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(format!("{what} must be an object, found {other:?}")),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!("{what} must have keys {keys:?}, found {found:?}"));
-    }
-    Ok(())
-}
-
-fn expect_uint(value: &JsonV, what: &str) -> Result<u64, String> {
-    match value {
-        JsonV::UInt(v) => Ok(*v),
-        other => Err(format!(
-            "{what} must be an unsigned integer, found {other:?}"
-        )),
-    }
-}
-
-fn expect_float(value: &JsonV, what: &str) -> Result<f64, String> {
-    match value {
-        JsonV::Float(v) => Ok(*v),
-        other => Err(format!("{what} must be a float, found {other:?}")),
-    }
-}
-
-fn expect_histogram(value: Option<&JsonV>, what: &str) -> Result<u64, String> {
-    let items = match value {
-        Some(JsonV::Arr(items)) => items,
-        other => return Err(format!("{what} must be an array, found {other:?}")),
-    };
+fn expect_histogram(value: &JsonV, what: &str) -> Result<u64, String> {
+    let items = expect_arr(value, what)?;
     if items.len() != DRIFT_BUCKETS {
         return Err(format!(
             "{what} must have {DRIFT_BUCKETS} buckets, found {}",
@@ -345,35 +310,12 @@ fn expect_histogram(value: Option<&JsonV>, what: &str) -> Result<u64, String> {
 /// deterministic/nondeterministic split, exact key order, and the
 /// counting identities the lifecycle instrumentation guarantees (one
 /// queue-wait/batch-wait/write/total observation per 200 response,
-/// one score observation and one drift record per scored row). Used
-/// by the `latency-schema-check` binary in CI.
+/// one score observation and one drift record per scored row).
+/// `artifact-check` runs it in CI.
 pub fn validate_latency(text: &str) -> Result<(), String> {
-    let root = jsonv::parse(text)?;
-    let fields = expect_obj(&root, "latency artifact")?;
-    expect_keys(
-        fields,
-        &["schema", "binary", "deterministic", "nondeterministic"],
-        "latency artifact",
-    )?;
+    let root = validate_envelope(text, LATENCY_SCHEMA)?;
 
-    match root.get("schema") {
-        Some(JsonV::Str(s)) if s == LATENCY_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema must be {LATENCY_SCHEMA:?}, found {other:?}"
-            ))
-        }
-    }
-    match root.get("binary") {
-        Some(JsonV::Str(s)) if !s.is_empty() => {}
-        other => {
-            return Err(format!(
-                "binary must be a non-empty string, found {other:?}"
-            ))
-        }
-    }
-
-    let det = root.get("deterministic").expect("keys checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
@@ -381,71 +323,62 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
         "deterministic",
     )?;
 
-    let config = det.get("config").expect("keys checked");
+    let config = field(det, "config")?;
     let config_fields = expect_obj(config, "deterministic.config")?;
     expect_keys(
         config_fields,
         &["connections", "rows_per_request"],
         "deterministic.config",
     )?;
-    if expect_uint(
-        config.get("connections").expect("keys checked"),
-        "connections",
-    )? == 0
-    {
+    if expect_uint(field(config, "connections")?, "connections")? == 0 {
         return Err("config.connections must be nonzero".to_string());
     }
-    let rows_per_request = expect_uint(
-        config.get("rows_per_request").expect("keys checked"),
-        "rows_per_request",
-    )?;
+    let rows_per_request = expect_uint(field(config, "rows_per_request")?, "rows_per_request")?;
 
-    let sketch = det.get("sketch").expect("keys checked");
+    let sketch = field(det, "sketch")?;
     let sketch_fields = expect_obj(sketch, "sketch")?;
     expect_keys(
         sketch_fields,
         &["buckets", "min_exponent", "max_exponent"],
         "sketch",
     )?;
-    if expect_uint(sketch.get("buckets").expect("keys checked"), "buckets")?
-        != SKETCH_BUCKETS as u64
-    {
+    if expect_uint(field(sketch, "buckets")?, "buckets")? != SKETCH_BUCKETS as u64 {
         return Err(format!("sketch.buckets must be {SKETCH_BUCKETS}"));
     }
     for (key, want) in [
         ("min_exponent", SKETCH_MIN_EXP as f64),
         ("max_exponent", SKETCH_MAX_EXP as f64),
     ] {
-        if expect_float(sketch.get(key).expect("keys checked"), key)? != want {
+        if expect_float(field(sketch, key)?, key)? != want {
             return Err(format!("sketch.{key} must be {want}"));
         }
     }
 
-    let stages = det.get("stages").expect("keys checked");
+    let stages = field(det, "stages")?;
     let stage_fields = expect_obj(stages, "stages")?;
     expect_keys(stage_fields, &STAGE_NAMES, "stages")?;
     let mut observations = [0u64; STAGE_COUNT];
     for (slot, name) in observations.iter_mut().zip(STAGE_NAMES) {
-        let stage = stages.get(name).expect("keys checked");
+        let stage = field(stages, name)?;
         expect_keys(
             expect_obj(stage, name)?,
             &["observations"],
             &format!("stages.{name}"),
         )?;
         *slot = expect_uint(
-            stage.get("observations").expect("keys checked"),
+            field(stage, "observations")?,
             &format!("stages.{name}.observations"),
         )?;
     }
 
-    let counts = det.get("counts").expect("keys checked");
+    let counts = field(det, "counts")?;
     let count_fields = expect_obj(counts, "counts")?;
     expect_keys(
         count_fields,
         &["requests_sent", "responses_ok", "rows_scored"],
         "counts",
     )?;
-    let get_count = |key: &str| expect_uint(counts.get(key).expect("keys checked"), key);
+    let get_count = |key: &str| expect_uint(field(counts, key)?, key);
     let sent = get_count("requests_sent")?;
     if sent == 0 {
         return Err("counts.requests_sent must be nonzero".to_string());
@@ -483,16 +416,16 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
         ));
     }
 
-    let drift = det.get("drift").expect("keys checked");
+    let drift = field(det, "drift")?;
     let drift_fields = expect_obj(drift, "drift")?;
     expect_keys(
         drift_fields,
         &["reference", "live", "scored", "divergence"],
         "drift",
     )?;
-    expect_histogram(drift.get("reference"), "drift.reference")?;
-    let live_total = expect_histogram(drift.get("live"), "drift.live")?;
-    let scored = expect_uint(drift.get("scored").expect("keys checked"), "drift.scored")?;
+    expect_histogram(field(drift, "reference")?, "drift.reference")?;
+    let live_total = expect_histogram(field(drift, "live")?, "drift.live")?;
+    let scored = expect_uint(field(drift, "scored")?, "drift.scored")?;
     if live_total != scored {
         return Err(format!(
             "drift.live sums to {live_total}, drift.scored is {scored}"
@@ -503,22 +436,19 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
             "drift.scored {scored} != counts.rows_scored {rows_scored}"
         ));
     }
-    let divergence = expect_float(
-        drift.get("divergence").expect("keys checked"),
-        "drift.divergence",
-    )?;
+    let divergence = expect_float(field(drift, "divergence")?, "drift.divergence")?;
     if !(0.0..=1.0).contains(&divergence) {
         return Err(format!("drift.divergence {divergence} outside [0, 1]"));
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
         &["config", "server_stages_ms", "client_latency_ms"],
         "nondeterministic",
     )?;
-    let nconfig = nondet.get("config").expect("keys checked");
+    let nconfig = field(nondet, "config")?;
     expect_keys(
         expect_obj(nconfig, "nondeterministic.config")?,
         &[
@@ -530,32 +460,26 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
         "nondeterministic.config",
     )?;
     for key in ["workers", "queue_capacity", "batch_max_rows"] {
-        if expect_uint(nconfig.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(nconfig, key)?, key)? == 0 {
             return Err(format!("nondeterministic.config.{key} must be nonzero"));
         }
     }
-    expect_uint(
-        nconfig.get("batch_max_wait_ms").expect("keys checked"),
-        "batch_max_wait_ms",
-    )?;
+    expect_uint(field(nconfig, "batch_max_wait_ms")?, "batch_max_wait_ms")?;
 
-    let server = nondet.get("server_stages_ms").expect("keys checked");
+    let server = field(nondet, "server_stages_ms")?;
     expect_keys(
         expect_obj(server, "server_stages_ms")?,
         &STAGE_NAMES,
         "server_stages_ms",
     )?;
     for (name, expected_total) in STAGE_NAMES.iter().zip(observations) {
-        let stage = server.get(name).expect("keys checked");
+        let stage = field(server, name)?;
         expect_keys(
             expect_obj(stage, name)?,
             &["buckets", "p50", "p95", "p99"],
             &format!("server_stages_ms.{name}"),
         )?;
-        let buckets = match stage.get("buckets") {
-            Some(JsonV::Arr(items)) => items,
-            other => return Err(format!("{name}.buckets must be an array, found {other:?}")),
-        };
+        let buckets = expect_arr(field(stage, "buckets")?, &format!("{name}.buckets"))?;
         let mut sum = 0u64;
         let mut last_index: Option<u64> = None;
         for entry in buckets {
@@ -586,9 +510,9 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
                 "{name} buckets sum to {sum}, stages.{name}.observations is {expected_total}"
             ));
         }
-        let p50 = expect_float(stage.get("p50").expect("keys checked"), "p50")?;
-        let p95 = expect_float(stage.get("p95").expect("keys checked"), "p95")?;
-        let p99 = expect_float(stage.get("p99").expect("keys checked"), "p99")?;
+        let p50 = expect_float(field(stage, "p50")?, "p50")?;
+        let p95 = expect_float(field(stage, "p95")?, "p95")?;
+        let p99 = expect_float(field(stage, "p99")?, "p99")?;
         if !(p50 <= p95 && p95 <= p99) {
             return Err(format!(
                 "{name} quantiles must be monotone: p50 {p50}, p95 {p95}, p99 {p99}"
@@ -596,13 +520,13 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
         }
     }
 
-    let client = nondet.get("client_latency_ms").expect("keys checked");
+    let client = field(nondet, "client_latency_ms")?;
     expect_keys(
         expect_obj(client, "client_latency_ms")?,
         &["p50", "p95", "p99", "max", "mean"],
         "client_latency_ms",
     )?;
-    let get_latency = |key: &str| expect_float(client.get(key).expect("keys checked"), key);
+    let get_latency = |key: &str| expect_float(field(client, key)?, key);
     let (p50, p95, p99, max, mean) = (
         get_latency("p50")?,
         get_latency("p95")?,

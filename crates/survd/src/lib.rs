@@ -48,11 +48,11 @@
 //! - [`artifact`] — `artifacts/serving.json` (`survdb-serving/v1`),
 //!   split deterministic/nondeterministic like every other artifact,
 //!   produced by the `loadgen` binary and validated by
-//!   `serving-schema-check` in CI.
+//!   `artifact-check` in CI.
 //! - [`resilience`] — `artifacts/resilience.json`
 //!   (`survdb-resilience/v1`): per fault-class × rate outcome cells
 //!   plus hot-swap drill accounting, produced by the `chaossweep`
-//!   binary and validated by `resilience-schema-check` in CI.
+//!   binary and validated by `artifact-check` in CI.
 //! - [`latency`] — the serving observability artifact:
 //!   `artifacts/latency.json` (`survdb-latency/v1`). Each request is
 //!   stamped with a splitmix64-derived trace id (echoed back as

@@ -37,7 +37,11 @@
 //! mismatch and fails the schema check, so correctness-under-chaos is
 //! machine-checked in CI, not eyeballed.
 
-use obs::jsonv::{self, JsonV};
+use obs::artifact::{
+    envelope, expect_float, expect_keys, expect_obj, expect_uint, field, validate_envelope,
+    write_artifact,
+};
+use obs::jsonv::JsonV;
 use serve::SavedModel;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -176,22 +180,16 @@ pub fn render_resilience(
     reload: &ReloadOutcome,
     elapsed_ms: f64,
 ) -> String {
-    JsonV::obj(vec![
-        ("schema", JsonV::Str(RESILIENCE_SCHEMA.to_string())),
-        ("binary", JsonV::Str(binary.to_string())),
-        (
-            "deterministic",
-            deterministic_json(config, model, cells, reload),
-        ),
-        (
-            "nondeterministic",
-            JsonV::obj(vec![
-                ("workers", JsonV::UInt(config.workers as u64)),
-                ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
-                ("elapsed_ms", JsonV::Float(elapsed_ms)),
-            ]),
-        ),
-    ])
+    envelope(
+        RESILIENCE_SCHEMA,
+        binary,
+        deterministic_json(config, model, cells, reload),
+        JsonV::obj(vec![
+            ("workers", JsonV::UInt(config.workers as u64)),
+            ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
+            ("elapsed_ms", JsonV::Float(elapsed_ms)),
+        ]),
+    )
     .render()
 }
 
@@ -206,77 +204,20 @@ pub fn write_resilience(
     reload: &ReloadOutcome,
     elapsed_ms: f64,
 ) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(RESILIENCE_FILE);
-    std::fs::write(
-        &path,
-        render_resilience(binary, config, model, cells, reload, elapsed_ms),
-    )?;
-    Ok(path)
-}
-
-fn expect_obj<'a>(value: &'a JsonV, what: &str) -> Result<&'a [(String, JsonV)], String> {
-    match value {
-        JsonV::Obj(fields) => Ok(fields),
-        other => Err(format!("{what} must be an object, found {other:?}")),
-    }
-}
-
-fn expect_keys(fields: &[(String, JsonV)], keys: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if found != keys {
-        return Err(format!("{what} must have keys {keys:?}, found {found:?}"));
-    }
-    Ok(())
-}
-
-fn expect_uint(value: &JsonV, what: &str) -> Result<u64, String> {
-    match value {
-        JsonV::UInt(v) => Ok(*v),
-        other => Err(format!(
-            "{what} must be an unsigned integer, found {other:?}"
-        )),
-    }
-}
-
-fn expect_float(value: &JsonV, what: &str) -> Result<f64, String> {
-    match value {
-        JsonV::Float(v) => Ok(*v),
-        other => Err(format!("{what} must be a float, found {other:?}")),
-    }
+    write_artifact(
+        dir,
+        RESILIENCE_FILE,
+        &render_resilience(binary, config, model, cells, reload, elapsed_ms),
+    )
 }
 
 /// Structurally validates a rendered `resilience.json`: schema id,
 /// section split, per-cell accounting identity, zero mismatches, and
-/// reload accounting. Used by the `resilience-schema-check` binary in
-/// CI.
+/// reload accounting. `artifact-check` runs it in CI.
 pub fn validate_resilience(text: &str) -> Result<(), String> {
-    let root = jsonv::parse(text)?;
-    let fields = expect_obj(&root, "resilience artifact")?;
-    expect_keys(
-        fields,
-        &["schema", "binary", "deterministic", "nondeterministic"],
-        "resilience artifact",
-    )?;
+    let root = validate_envelope(text, RESILIENCE_SCHEMA)?;
 
-    match root.get("schema") {
-        Some(JsonV::Str(s)) if s == RESILIENCE_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "schema must be {RESILIENCE_SCHEMA:?}, found {other:?}"
-            ))
-        }
-    }
-    match root.get("binary") {
-        Some(JsonV::Str(s)) if !s.is_empty() => {}
-        other => {
-            return Err(format!(
-                "binary must be a non-empty string, found {other:?}"
-            ))
-        }
-    }
-
-    let det = root.get("deterministic").expect("keys checked");
+    let det = field(&root, "deterministic")?;
     let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
         det_fields,
@@ -284,19 +225,15 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         "deterministic",
     )?;
 
-    let config = det.get("config").expect("keys checked");
+    let config = field(det, "config")?;
     let config_fields = expect_obj(config, "config")?;
     expect_keys(config_fields, &["requests_per_cell", "seed"], "config")?;
-    if expect_uint(
-        config.get("requests_per_cell").expect("keys checked"),
-        "requests_per_cell",
-    )? == 0
-    {
+    if expect_uint(field(config, "requests_per_cell")?, "requests_per_cell")? == 0 {
         return Err("config.requests_per_cell must be nonzero".to_string());
     }
-    expect_uint(config.get("seed").expect("keys checked"), "config.seed")?;
+    expect_uint(field(config, "seed")?, "config.seed")?;
 
-    let model = det.get("model").expect("keys checked");
+    let model = field(det, "model")?;
     let model_fields = expect_obj(model, "model")?;
     expect_keys(
         model_fields,
@@ -304,12 +241,12 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         "model",
     )?;
     for key in ["tree_count", "feature_count"] {
-        if expect_uint(model.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(model, key)?, key)? == 0 {
             return Err(format!("model.{key} must be nonzero"));
         }
     }
     let t = expect_float(
-        model.get("confidence_threshold").expect("keys checked"),
+        field(model, "confidence_threshold")?,
         "confidence_threshold",
     )?;
     if !(0.5..=1.0).contains(&t) {
@@ -341,11 +278,11 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
             Some(JsonV::Str(s)) if !s.is_empty() => {}
             other => return Err(format!("{what}.class must be a string, found {other:?}")),
         }
-        let rate = expect_float(cell.get("rate").expect("keys checked"), "rate")?;
+        let rate = expect_float(field(cell, "rate")?, "rate")?;
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("{what}.rate {rate} outside [0, 1]"));
         }
-        let get = |key: &str| expect_uint(cell.get(key).expect("keys checked"), key);
+        let get = |key: &str| expect_uint(field(cell, key)?, key);
         let sent = get("sent")?;
         if sent == 0 {
             return Err(format!("{what}.sent must be nonzero"));
@@ -362,14 +299,14 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         }
     }
 
-    let reload = det.get("reload").expect("keys checked");
+    let reload = field(det, "reload")?;
     let reload_fields = expect_obj(reload, "reload")?;
     expect_keys(
         reload_fields,
         &["attempted", "admitted", "rejected", "generations"],
         "reload",
     )?;
-    let get = |key: &str| expect_uint(reload.get(key).expect("keys checked"), key);
+    let get = |key: &str| expect_uint(field(reload, key)?, key);
     if get("admitted")? + get("rejected")? != get("attempted")? {
         return Err("reload: admitted + rejected must equal attempted".to_string());
     }
@@ -377,7 +314,7 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         return Err("reload.generations must be at least 1".to_string());
     }
 
-    let nondet = root.get("nondeterministic").expect("keys checked");
+    let nondet = field(&root, "nondeterministic")?;
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
@@ -385,14 +322,11 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         "nondeterministic",
     )?;
     for key in ["workers", "queue_capacity"] {
-        if expect_uint(nondet.get(key).expect("keys checked"), key)? == 0 {
+        if expect_uint(field(nondet, key)?, key)? == 0 {
             return Err(format!("nondeterministic.{key} must be nonzero"));
         }
     }
-    let elapsed = expect_float(
-        nondet.get("elapsed_ms").expect("keys checked"),
-        "elapsed_ms",
-    )?;
+    let elapsed = expect_float(field(nondet, "elapsed_ms")?, "elapsed_ms")?;
     if !elapsed.is_finite() || elapsed < 0.0 {
         return Err(format!(
             "elapsed_ms must be finite and non-negative, found {elapsed}"

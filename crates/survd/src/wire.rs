@@ -33,6 +33,11 @@
 //! tests compare daemon responses against offline `serve::score_rows`
 //! output with `==`, no tolerance.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use forest::ConfidenceSplit;
 use obs::jsonv::{self, JsonV};
 use serve::ScoredRow;
@@ -102,10 +107,11 @@ pub fn parse_score_request(
     let JsonV::Obj(fields) = &root else {
         return Err("request must be a JSON object".to_string());
     };
-    if fields.len() != 1 || fields[0].0 != "rows" {
-        return Err("request must have exactly one key, \"rows\"".to_string());
-    }
-    let JsonV::Arr(raw_rows) = &fields[0].1 else {
+    let rows_value = match fields.as_slice() {
+        [(key, value)] if key == "rows" => value,
+        _ => return Err("request must have exactly one key, \"rows\"".to_string()),
+    };
+    let JsonV::Arr(raw_rows) = rows_value else {
         return Err("\"rows\" must be an array".to_string());
     };
     if raw_rows.is_empty() {

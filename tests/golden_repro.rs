@@ -16,9 +16,10 @@
 //!
 //! and commit the updated file together with the change that moved it.
 
+use obs::jsonv::JsonV;
 use std::path::PathBuf;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
-use survdb::json::{Json, ToJson};
+use survdb::json::ToJson;
 use telemetry::{Census, Edition, Fleet, FleetConfig, RegionConfig};
 
 const GOLDEN_SCALE: f64 = 0.05;
@@ -53,11 +54,11 @@ fn golden_render() -> String {
             .to_json_value(),
     ];
 
-    Json::obj(vec![
-        ("schema", Json::Str("survdb-golden/v1".to_string())),
-        ("scale", Json::Float(GOLDEN_SCALE)),
-        ("seed", Json::UInt(GOLDEN_SEED)),
-        ("subgroups", Json::Arr(subgroups)),
+    JsonV::obj(vec![
+        ("schema", JsonV::Str("survdb-golden/v1".to_string())),
+        ("scale", JsonV::Float(GOLDEN_SCALE)),
+        ("seed", JsonV::UInt(GOLDEN_SEED)),
+        ("subgroups", JsonV::Arr(subgroups)),
     ])
     .render()
 }

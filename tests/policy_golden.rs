@@ -20,10 +20,7 @@
 //! and commit the updated file together with the change that moved it.
 
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
-use bench::policyart::{
-    deterministic_policy_section, render_policy, run_policybench, validate_policy,
-    PolicyBenchOptions,
-};
+use bench::policyart::{render_policy, run_policybench, validate_policy, PolicyBenchOptions};
 use serve::SavedModel;
 use std::path::PathBuf;
 
@@ -73,7 +70,7 @@ fn golden_render(
     forest::set_thread_limit(None);
     let text = render_policy(&report);
     validate_policy(&text).expect("golden artifact validates");
-    deterministic_policy_section(&text).expect("artifact has a deterministic section")
+    obs::artifact::deterministic_section_of(&text).expect("artifact has a deterministic section")
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //! 5. **Sweep determinism** — the chaos outcome ledger for a fixed
 //!    seed renders a byte-identical deterministic artifact section
 //!    across a 1-worker and an 8-worker daemon.
+//! 6. **Hostile bodies** — a body nested far past the parser's depth
+//!    limit and one long string, each just under the body cap, get a
+//!    4xx promptly and the daemon keeps serving correct 200s.
 //!
 //! Tests share the process-global forest thread limit and obs registry
 //! slot, so they serialize on one mutex.
@@ -372,6 +375,54 @@ fn corrupt_reload_is_refused_while_old_generation_serves() {
 
     let stats = handle.shutdown();
     assert_eq!(stats.reloads_rejected, 2);
+    assert_eq!(stats.reloads_ok, 0);
+}
+
+#[test]
+fn hostile_bodies_are_refused_and_the_daemon_keeps_serving() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let handle = survd::start(model.clone(), ServerConfig::default(), None).expect("start daemon");
+    let addr = handle.addr();
+
+    // Just under the default 1 MiB body cap, so the parser sees all of
+    // each body: 100k+ levels of nesting once overflowed a worker's
+    // stack, and a long string once took seconds of CPU.
+    let size = 1024 * 1024 - 64;
+    let deep = format!("{{\"rows\":{}", "[".repeat(size));
+    let long = format!("\"{}\"", "x".repeat(size));
+    for (label, body) in [("deep nesting", &deep), ("long string", &long)] {
+        let started = Instant::now();
+        let response = connect(addr)
+            .request("POST", "/score", body.as_bytes())
+            .expect(label);
+        assert_eq!(response.status, 400, "{label}: hostile /score body");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{label}: refusal took {:?}",
+            started.elapsed()
+        );
+    }
+    let deep_model = format!(
+        "{{\"schema\":\"survdb-model/v1\",\"forest\":{}",
+        "[".repeat(size)
+    );
+    let response = connect(addr)
+        .request("POST", "/reload", deep_model.as_bytes())
+        .expect("reload request");
+    assert_eq!(response.status, 422, "deep-nested candidate model");
+    assert_eq!(handle.generation(), 1);
+
+    let response = connect(addr)
+        .score(&survd::render_score_request(corpus))
+        .expect("score after hostile bodies");
+    assert_eq!(response.status, 200);
+    let parsed = survd::parse_score_response(response.text().expect("utf8")).expect("valid");
+    assert_eq!(parsed.generation, 1);
+    assert_eq!(parsed.results, offline_scores(model, corpus));
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.reloads_rejected, 1);
     assert_eq!(stats.reloads_ok, 0);
 }
 

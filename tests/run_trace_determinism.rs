@@ -1,7 +1,7 @@
 //! Pins the run trace's determinism contract: the `deterministic`
 //! section must be byte-identical across consecutive runs and across
 //! thread limits, and the full rendered trace must pass the schema
-//! validator the `trace-schema-check` binary applies in CI.
+//! validator `artifact-check` applies in CI.
 //!
 //! Everything runs inside one `#[test]` because the registry slot is
 //! process-wide: concurrent installs from parallel test threads would
