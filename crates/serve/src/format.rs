@@ -47,6 +47,11 @@
 //! the schema id (`survdb-model/v2`), and a reader only accepts the
 //! ids it was built to understand.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::error::ModelError;
 use forest::{
     confidence_threshold, DecisionTree, FlatTree, ForestKernel, GridSearchResult, MaxFeatures,

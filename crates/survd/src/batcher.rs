@@ -1,12 +1,17 @@
 //! Micro-batching: coalescing in-flight score requests into chunks.
 //!
 //! [`BatcherCore`] is the pure state machine — no threads, no sockets,
-//! no wall clock. It accumulates pending requests (FIFO) and decides,
-//! given a [`Clock`](crate::clock::Clock) reading, when a batch is due:
-//! either enough rows have piled up (`max_rows`) or the oldest pending
-//! request has waited `max_wait_ms`. The server's batcher thread wraps
-//! it with a condvar-timed queue pop; the unit and property tests
-//! drive it directly with a `ManualClock`, so deadline behavior is
+//! no wall clock. It holds popped requests (FIFO) and decides, given a
+//! [`Clock`](crate::clock::Clock) reading and whether the intake can
+//! yield another request right now, when a batch is due. The batcher
+//! is *work-conserving* (natural batching): a batch flushes as soon as
+//! the intake is empty, so it only grows while the previous flush runs
+//! and nobody waits on a timer when the daemon is idle. While the
+//! intake keeps yielding, two bounds cap the batch: `max_rows` pending
+//! rows, or the oldest held request having waited `max_wait_ms`. The
+//! server's batcher thread blocks for a first request, drains the
+//! queue without waiting and flushes; the unit and property tests
+//! drive the core directly with a `ManualClock`, so flush behavior is
 //! pinned without ever sleeping.
 //!
 //! Coalescing is transparent by construction: batches are contiguous
@@ -17,9 +22,15 @@
 //! `batcher_transparency` property test pins this bitwise across batch
 //! sizes and worker counts.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::VecDeque;
 
-/// When to flush a pending micro-batch.
+/// When to flush a held micro-batch that the intake is still feeding.
+/// An empty intake flushes at once, whatever the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush as soon as at least this many rows are pending. A single
@@ -27,7 +38,7 @@ pub struct BatchPolicy {
     /// are never split.
     pub max_rows: usize,
     /// Flush at the latest this many milliseconds after the oldest
-    /// pending request arrived, even if the batch is small.
+    /// held request was popped, even if the intake still has work.
     pub max_wait_ms: u64,
 }
 
@@ -45,7 +56,7 @@ impl Default for BatchPolicy {
 struct Pending<T> {
     item: T,
     rows: usize,
-    enqueued_ms: u64,
+    held_since_us: u64,
 }
 
 /// The coalescing state machine. `T` is whatever the caller needs to
@@ -78,12 +89,12 @@ impl<T> BatcherCore<T> {
         self.policy
     }
 
-    /// Appends a request of `rows` rows arriving at `now_ms`.
-    pub fn push(&mut self, item: T, rows: usize, now_ms: u64) {
+    /// Holds a request of `rows` rows popped at `now_us`.
+    pub fn push(&mut self, item: T, rows: usize, now_us: u64) {
         self.pending.push_back(Pending {
             item,
             rows,
-            enqueued_ms: now_ms,
+            held_since_us: now_us,
         });
         self.pending_rows += rows;
     }
@@ -103,22 +114,27 @@ impl<T> BatcherCore<T> {
         self.pending.is_empty()
     }
 
-    /// The absolute deadline (ms) by which a flush must happen, i.e.
-    /// the oldest pending request's arrival plus `max_wait_ms`. `None`
-    /// when nothing is pending.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.pending
-            .front()
-            .map(|p| p.enqueued_ms + self.policy.max_wait_ms)
+    /// The absolute time (µs) by which a flush must happen even if the
+    /// intake keeps yielding: the oldest held request's pop plus
+    /// `max_wait_ms`. `None` when nothing is pending.
+    pub fn deadline_us(&self) -> Option<u64> {
+        self.pending.front().map(|p| {
+            p.held_since_us
+                .saturating_add(self.policy.max_wait_ms.saturating_mul(1000))
+        })
     }
 
-    /// Whether a batch should flush at `now_ms`: the row threshold is
-    /// met, or the oldest request's deadline has passed.
-    pub fn due(&self, now_ms: u64) -> bool {
+    /// Whether a batch should flush at `now_us`. With something
+    /// pending it is due when the intake is empty (work conservation:
+    /// nothing more could join without waiting), when the row cap is
+    /// met, or when the oldest held request's deadline has passed.
+    pub fn due(&self, now_us: u64, intake_empty: bool) -> bool {
         if self.pending.is_empty() {
             return false;
         }
-        self.pending_rows >= self.policy.max_rows || self.deadline_ms().is_some_and(|d| now_ms >= d)
+        intake_empty
+            || self.pending_rows >= self.policy.max_rows
+            || self.deadline_us().is_some_and(|d| now_us >= d)
     }
 
     /// Takes the next batch: requests from the front, in arrival
@@ -128,11 +144,11 @@ impl<T> BatcherCore<T> {
     pub fn take_batch(&mut self) -> Vec<T> {
         let mut taken = Vec::new();
         let mut rows = 0usize;
-        while let Some(front) = self.pending.front() {
-            if !taken.is_empty() && rows + front.rows > self.policy.max_rows {
+        while let Some(p) = self.pending.pop_front() {
+            if !taken.is_empty() && rows + p.rows > self.policy.max_rows {
+                self.pending.push_front(p);
                 break;
             }
-            let p = self.pending.pop_front().expect("front checked");
             rows += p.rows;
             self.pending_rows -= p.rows;
             taken.push(p.item);
@@ -176,26 +192,37 @@ mod tests {
     fn flushes_on_row_threshold() {
         let mut core = BatcherCore::new(policy(8, 100));
         let clock = ManualClock::new();
-        core.push("a", 3, clock.now_ms());
-        core.push("b", 4, clock.now_ms());
-        assert!(!core.due(clock.now_ms()), "7 < 8 rows, fresh");
-        core.push("c", 1, clock.now_ms());
-        assert!(core.due(clock.now_ms()), "8 rows reached");
+        core.push("a", 3, clock.now_us());
+        core.push("b", 4, clock.now_us());
+        assert!(!core.due(clock.now_us(), false), "7 < 8 rows, fresh");
+        core.push("c", 1, clock.now_us());
+        assert!(core.due(clock.now_us(), false), "8 rows reached");
         assert_eq!(core.take_batch(), vec!["a", "b", "c"]);
         assert!(core.is_empty());
         assert_eq!(core.pending_rows(), 0);
     }
 
     #[test]
+    fn empty_intake_flushes_at_once_under_a_frozen_clock() {
+        let mut core = BatcherCore::new(policy(64, 5));
+        let clock = ManualClock::new();
+        assert!(!core.due(clock.now_us(), true), "nothing pending");
+        core.push("only", 1, clock.now_us());
+        assert!(!core.due(clock.now_us(), false), "intake still yielding");
+        assert!(core.due(clock.now_us(), true), "no timer wait when idle");
+        assert_eq!(core.take_batch(), vec!["only"]);
+    }
+
+    #[test]
     fn flushes_on_deadline_without_sleeping() {
         let mut core = BatcherCore::new(policy(64, 5));
         let clock = ManualClock::new();
-        core.push("only", 1, clock.now_ms());
-        assert_eq!(core.deadline_ms(), Some(5));
-        clock.advance_ms(4);
-        assert!(!core.due(clock.now_ms()), "deadline not reached");
-        clock.advance_ms(1);
-        assert!(core.due(clock.now_ms()), "deadline reached");
+        core.push("only", 1, clock.now_us());
+        assert_eq!(core.deadline_us(), Some(5_000));
+        clock.advance_us(4_999);
+        assert!(!core.due(clock.now_us(), false), "deadline not reached");
+        clock.advance_us(1);
+        assert!(core.due(clock.now_us(), false), "deadline reached");
         assert_eq!(core.take_batch(), vec!["only"]);
     }
 
@@ -203,13 +230,13 @@ mod tests {
     fn deadline_tracks_the_oldest_request() {
         let mut core = BatcherCore::new(policy(64, 10));
         let clock = ManualClock::new();
-        core.push("old", 1, clock.now_ms());
+        core.push("old", 1, clock.now_us());
         clock.advance_ms(7);
-        core.push("new", 1, clock.now_ms());
+        core.push("new", 1, clock.now_us());
         // The deadline is the *old* request's, not the newest's.
-        assert_eq!(core.deadline_ms(), Some(10));
+        assert_eq!(core.deadline_us(), Some(10_000));
         clock.advance_ms(3);
-        assert!(core.due(clock.now_ms()));
+        assert!(core.due(clock.now_us(), false));
         // Both flush together once due.
         assert_eq!(core.take_batch(), vec!["old", "new"]);
     }
@@ -233,7 +260,7 @@ mod tests {
         let mut core = BatcherCore::new(policy(4, 100));
         core.push("huge", 10, 0);
         core.push("next", 1, 0);
-        assert!(core.due(0), "10 >= 4 rows");
+        assert!(core.due(0, false), "10 >= 4 rows");
         assert_eq!(core.take_batch(), vec!["huge"]);
         assert_eq!(core.take_batch(), vec!["next"]);
     }

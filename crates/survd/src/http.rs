@@ -182,6 +182,19 @@ fn read_line(
 /// typed 408, so a slow client can neither corrupt framing nor hold a
 /// worker forever.
 pub fn read_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<Request, ReadError> {
+    read_request_capped(reader, limits, |_| limits.max_body_bytes)
+}
+
+/// [`read_request`] with the body cap chosen per request target:
+/// `body_cap(path)` replaces `limits.max_body_bytes`, so an endpoint
+/// whose bodies are documents rather than requests (a model upload)
+/// can accept more than the scoring endpoint without raising the cap
+/// for everything else.
+pub(crate) fn read_request_capped(
+    reader: &mut impl BufRead,
+    limits: &HttpLimits,
+    body_cap: impl FnOnce(&str) -> usize,
+) -> Result<Request, ReadError> {
     let mut budget = limits.max_head_bytes;
     let mut stalls = 0usize;
     let request_line = read_line(reader, &mut budget, &mut stalls, limits, false)?;
@@ -229,13 +242,11 @@ pub fn read_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<Re
             .parse::<usize>()
             .map_err(|_| malformed(400, format!("bad content-length {v:?}")))?,
     };
-    if content_length > limits.max_body_bytes {
+    let max_body_bytes = body_cap(&path);
+    if content_length > max_body_bytes {
         return Err(malformed(
             413,
-            format!(
-                "body of {content_length} bytes exceeds the {}-byte limit",
-                limits.max_body_bytes
-            ),
+            format!("body of {content_length} bytes exceeds the {max_body_bytes}-byte limit"),
         ));
     }
 
@@ -413,6 +424,23 @@ mod tests {
             refused(read("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")),
             400
         );
+    }
+
+    #[test]
+    fn body_cap_is_chosen_per_path() {
+        let limits = HttpLimits {
+            max_body_bytes: 4,
+            ..HttpLimits::default()
+        };
+        let cap = |path: &str| if path == "/big" { 8 } else { 4 };
+        let read_capped = |text: &str| {
+            let mut reader = BufReader::new(Cursor::new(text.as_bytes().to_vec()));
+            read_request_capped(&mut reader, &limits, cap)
+        };
+        let body = "POST {} HTTP/1.1\r\nContent-Length: 6\r\n\r\nsix by";
+        assert_eq!(refused(read_capped(&body.replace("{}", "/small"))), 413);
+        let big = read_capped(&body.replace("{}", "/big")).expect("within the /big cap");
+        assert_eq!(big.body, b"six by");
     }
 
     #[test]

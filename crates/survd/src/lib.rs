@@ -23,9 +23,11 @@
 //!   (full → HTTP 429 + `Retry-After`), blocking connection hand-off,
 //!   close-and-drain semantics, and a peak-depth high-water mark as
 //!   the bounded-memory witness.
-//! - [`batcher`] — the pure coalescing state machine: flush on a row
-//!   threshold or the oldest request's deadline, driven by a
-//!   [`clock::Clock`] so tests never sleep. Coalescing is transparent:
+//! - [`batcher`] — the pure coalescing state machine, work-conserving:
+//!   flush as soon as the intake is empty, or earlier on a row cap or
+//!   the oldest held request's deadline while the intake keeps
+//!   yielding. Driven by a microsecond [`clock::Clock`] so tests never
+//!   sleep. Coalescing is transparent:
 //!   per-row probabilities are independent tree walks, so batched
 //!   scoring is bitwise identical to scoring each request alone.
 //! - [`server`] — the daemon itself: acceptor thread, fixed worker

@@ -5,23 +5,33 @@
 //! the caller sheds with HTTP 429), [`Bounded::push_wait`] blocks for
 //! space (used for the connection hand-off, where blocking the
 //! acceptor translates into TCP backlog backpressure instead of
-//! unbounded buffering). Consumers use [`Bounded::pop_wait`] with an
-//! optional timeout so the batcher can wake exactly at its flush
-//! deadline. [`Bounded::close`] drains gracefully: producers are
-//! refused, consumers keep popping until the queue is empty, then see
-//! [`Pop::Drained`].
+//! unbounded buffering). Two flavors of consumer: [`Bounded::pop_wait`]
+//! blocks for an item, [`Bounded::try_pop`] never blocks — the batcher
+//! blocks for the first job of a batch, then drains what is already
+//! queued and flushes once nothing more can be popped.
+//! [`Bounded::close`] drains gracefully: producers are refused,
+//! consumers keep popping until the queue is empty, then see `None`.
 //!
 //! [`Bounded::pause`] freezes the consumer side *atomically under the
 //! queue lock*: queued items stay queued (still occupying their
 //! capacity slots, so `try_push` sheds deterministically once the
-//! queue is full) until [`Bounded::resume`]. This is the overload
-//! tests' hook — pause, flood with more than `capacity` requests,
-//! observe exactly `capacity` admissions and the rest shed. Closing
-//! overrides a pause: drain always proceeds.
+//! queue is full) until [`Bounded::resume`]; a paused queue yields
+//! nothing to either pop. This is the overload tests' hook — pause,
+//! flood with more than `capacity` requests, observe exactly
+//! `capacity` admissions and the rest shed. Closing overrides a pause:
+//! drain always proceeds.
+//!
+//! A poisoned lock is recovered, never propagated: every critical
+//! section leaves the state consistent, so a panic elsewhere cannot
+//! wedge admission or drain.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -30,17 +40,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue is closed (draining); the item comes back.
     Closed(T),
-}
-
-/// The outcome of a timed pop.
-#[derive(Debug)]
-pub enum Pop<T> {
-    /// An item, FIFO order.
-    Item(T),
-    /// The timeout elapsed with the queue still empty and open.
-    TimedOut,
-    /// The queue is closed and empty — no item will ever arrive.
-    Drained,
 }
 
 struct State<T> {
@@ -89,7 +88,7 @@ impl<T> Bounded<T> {
         self.capacity
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -130,41 +129,36 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Pops the next item, waiting up to `timeout` (forever when
-    /// `None`) for one to arrive. While the queue is paused (and not
-    /// closed) no item is handed out, even if some are queued.
-    pub fn pop_wait(&self, timeout: Option<Duration>) -> Pop<T> {
+    /// Pops the next item, blocking until one can be handed out.
+    /// Returns `None` once the queue is closed and empty — no item
+    /// will ever arrive. While the queue is paused (and not closed) no
+    /// item is handed out, even if some are queued.
+    pub fn pop_wait(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
-            if !state.paused || state.closed {
-                if let Some(item) = state.items.pop_front() {
-                    drop(state);
-                    self.space_cv.notify_one();
-                    return Pop::Item(item);
-                }
+            if let Some(item) = self.pop_locked(&mut state) {
+                return Some(item);
             }
-            if state.closed && state.items.is_empty() {
-                return Pop::Drained;
+            if state.closed {
+                return None;
             }
-            match timeout {
-                None => {
-                    state = self.items_cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                Some(t) => {
-                    let (next, result) = self
-                        .items_cv
-                        .wait_timeout(state, t)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = next;
-                    if result.timed_out()
-                        && !state.closed
-                        && (state.paused || state.items.is_empty())
-                    {
-                        return Pop::TimedOut;
-                    }
-                }
-            }
+            state = self.items_cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Pops the next item if one can be handed out right now: `None`
+    /// when the queue is empty, or paused and not closed.
+    pub fn try_pop(&self) -> Option<T> {
+        self.pop_locked(&mut self.lock())
+    }
+
+    fn pop_locked(&self, state: &mut State<T>) -> Option<T> {
+        if state.paused && !state.closed {
+            return None;
+        }
+        let item = state.items.pop_front()?;
+        self.space_cv.notify_one();
+        Some(item)
     }
 
     /// Freezes the consumer side: queued items stay queued (and keep
@@ -217,12 +211,9 @@ mod tests {
         assert_eq!(q.try_push(2).unwrap(), 2);
         assert!(matches!(q.try_push(3), Err(PushError::Full(3))));
         assert_eq!(q.peak_depth(), 2);
-        assert!(matches!(q.pop_wait(None), Pop::Item(1)));
-        assert!(matches!(q.pop_wait(None), Pop::Item(2)));
-        assert!(matches!(
-            q.pop_wait(Some(Duration::from_millis(1))),
-            Pop::TimedOut
-        ));
+        assert_eq!(q.pop_wait(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), None, "empty: try_pop never blocks");
     }
 
     #[test]
@@ -231,8 +222,9 @@ mod tests {
         q.try_push("a").unwrap();
         q.close();
         assert!(matches!(q.try_push("b"), Err(PushError::Closed("b"))));
-        assert!(matches!(q.pop_wait(None), Pop::Item("a")));
-        assert!(matches!(q.pop_wait(None), Pop::Drained));
+        assert_eq!(q.pop_wait(), Some("a"));
+        assert_eq!(q.pop_wait(), None);
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
@@ -244,9 +236,9 @@ mod tests {
             std::thread::spawn(move || q.push_wait(1u32))
         };
         // Free a slot; the blocked producer completes.
-        assert!(matches!(q.pop_wait(None), Pop::Item(0)));
+        assert_eq!(q.pop_wait(), Some(0));
         producer.join().unwrap().expect("pushed after space freed");
-        assert!(matches!(q.pop_wait(None), Pop::Item(1)));
+        assert_eq!(q.pop_wait(), Some(1));
 
         q.try_push(2u32).unwrap();
         let refused = {
@@ -264,21 +256,18 @@ mod tests {
         q.pause();
         q.try_push("a").unwrap();
         // Paused: the item stays queued, still occupying its slot.
-        assert!(matches!(
-            q.pop_wait(Some(Duration::from_millis(1))),
-            Pop::TimedOut
-        ));
+        assert_eq!(q.try_pop(), None);
         assert_eq!(q.len(), 1);
         q.try_push("b").unwrap();
         assert!(matches!(q.try_push("c"), Err(PushError::Full("c"))));
         // Resume delivers in FIFO order.
         q.resume();
-        assert!(matches!(q.pop_wait(None), Pop::Item("a")));
+        assert_eq!(q.pop_wait(), Some("a"));
         // Close overrides a fresh pause — drain proceeds.
         q.pause();
         q.close();
-        assert!(matches!(q.pop_wait(None), Pop::Item("b")));
-        assert!(matches!(q.pop_wait(None), Pop::Drained));
+        assert_eq!(q.try_pop(), Some("b"));
+        assert_eq!(q.pop_wait(), None);
     }
 
     #[test]

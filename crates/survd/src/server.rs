@@ -11,7 +11,7 @@
 //!                      │ admission    │   draining → 503
 //!                      │ queue (≤ K)  │   late → 503 (degraded)
 //!                      └──────┬───────┘
-//!                             ▼ pop (deadline-timed)
+//!                             ▼ block for one job, then drain
 //!                      batcher thread: coalesce → score against ONE
 //!                      generation (`ModelSlot::current` per batch)
 //!                             │ fulfill response slots
@@ -26,6 +26,15 @@
 //! when a per-request deadline is configured — work that aged past its
 //! deadline while queued is answered 503 *before* wasting a batcher
 //! slot on scoring it.
+//!
+//! **Natural batching.** The batcher thread blocks for a first job,
+//! then pops whatever else is already queued without waiting and
+//! flushes as soon as nothing more can be popped. An idle daemon
+//! scores a lone request at once; under load, requests that arrive
+//! while a batch is scoring coalesce into the next one, capped by
+//! [`BatchPolicy`]'s `max_rows` and `max_wait_ms`. Lifecycle stamps
+//! read the injected [`Clock`] in microseconds, so the sub-millisecond
+//! stages this produces register in the stage sketches.
 //!
 //! **Hot-swap protocol.** The live model sits behind a [`ModelSlot`]:
 //! a mutex-guarded `Arc<Generation>` with a monotonically increasing
@@ -42,11 +51,16 @@
 //! refuses new scoring work with 503, scores everything already
 //! admitted, and joins every thread before returning.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::batcher::{batch_size_bucket, BatchPolicy, BatcherCore};
-use crate::clock::{Clock, SystemClock};
+use crate::clock::{elapsed_ms, Clock, SystemClock};
 use crate::http::{self, HttpLimits, ReadError, Request};
 use crate::latency::{STAGE_BATCH_WAIT, STAGE_QUEUE_WAIT, STAGE_SCORE, STAGE_TOTAL, STAGE_WRITE};
-use crate::queue::{Bounded, Pop, PushError};
+use crate::queue::{Bounded, PushError};
 use crate::wire::{self, RowScore};
 use obs::jsonv::JsonV;
 use obs::{DriftMonitor, DRIFT_BUCKETS};
@@ -57,6 +71,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Largest `POST /reload` body in bytes. A reload body is a whole
+/// `survdb-model/v1` document, which grows with the training fleet (a
+/// model trained at fleet scale 0.1 renders to about 1.5 MB), so it
+/// gets its own cap instead of `HttpLimits::max_body_bytes`, which is
+/// sized for `/score` requests. The effective cap is never below that
+/// one.
+pub const MAX_RELOAD_BODY_BYTES: usize = 32 * 1024 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -293,10 +315,11 @@ impl Slot {
 struct Job {
     rows: Vec<Vec<f64>>,
     slot: Arc<Slot>,
-    admitted_ms: u64,
-    /// Stamped by the batcher when it pops the job; `admitted_ms`
+    /// Clock reading at admission, microseconds.
+    admitted_us: u64,
+    /// Stamped by the batcher when it pops the job; `admitted_us`
     /// until then.
-    popped_ms: u64,
+    popped_us: u64,
 }
 
 struct Shared {
@@ -497,12 +520,18 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared, conns: &Bounded<TcpStr
 }
 
 fn worker_loop(shared: &Shared, conns: &Bounded<TcpStream>) {
-    loop {
-        match conns.pop_wait(None) {
-            Pop::Item(stream) => handle_connection(shared, stream),
-            Pop::TimedOut => unreachable!("untimed pop"),
-            Pop::Drained => break,
-        }
+    while let Some(stream) = conns.pop_wait() {
+        handle_connection(shared, stream);
+    }
+}
+
+/// The body cap for a request to `path`: [`MAX_RELOAD_BODY_BYTES`] for
+/// model uploads, the configured limit for everything else.
+fn body_cap(limits: &HttpLimits, path: &str) -> usize {
+    if path == "/reload" {
+        MAX_RELOAD_BODY_BYTES.max(limits.max_body_bytes)
+    } else {
+        limits.max_body_bytes
     }
 }
 
@@ -528,8 +557,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let limits = &shared.config.http;
     loop {
-        match http::read_request(&mut reader, &shared.config.http) {
+        match http::read_request_capped(&mut reader, limits, |path| body_cap(limits, path)) {
             Ok(request) => {
                 shared.stats.http_requests.fetch_add(1, Ordering::Relaxed);
                 // Close after this exchange when the client asked to
@@ -703,12 +733,12 @@ fn handle_score(
     let trace_header = || ("x-trace-id", format!("{trace_id:016x}"));
 
     let slot = Arc::new(Slot::new());
-    let admitted_ms = shared.clock.now_ms();
+    let admitted_us = shared.clock.now_us();
     let job = Job {
         rows: score_request.rows,
         slot: Arc::clone(&slot),
-        admitted_ms,
-        popped_ms: admitted_ms,
+        admitted_us,
+        popped_us: admitted_us,
     };
     match shared.admission.try_push(job) {
         Ok(depth) => {
@@ -726,7 +756,7 @@ fn handle_score(
                 } => {
                     shared.stats.score_ok.fetch_add(1, Ordering::Relaxed);
                     obs::count("survd.http_200", 1);
-                    let reply_ms = shared.clock.now_ms();
+                    let reply_us = shared.clock.now_us();
                     let result = {
                         let _span = obs::span!("survd_respond");
                         let body = wire::render_score_response(generation, threshold, &scores);
@@ -740,9 +770,9 @@ fn handle_score(
                         )
                     };
                     if obs::enabled() {
-                        let written_ms = shared.clock.now_ms();
-                        let write_ms = written_ms.saturating_sub(reply_ms) as f64;
-                        let total_ms = written_ms.saturating_sub(admitted_ms) as f64;
+                        let written_us = shared.clock.now_us();
+                        let write_ms = elapsed_ms(reply_us, written_us);
+                        let total_ms = elapsed_ms(admitted_us, written_us);
                         obs::observe(STAGE_WRITE, write_ms);
                         obs::observe(STAGE_TOTAL, total_ms);
                         obs::debug!(
@@ -866,34 +896,39 @@ fn handle_reload(
     }
 }
 
+/// The work-conserving batch loop: block for a first job, then pop
+/// whatever is already queued without waiting, flushing whenever the
+/// core says a batch is due — at the latest when the intake is empty —
+/// and block again once everything held has flushed. A paused queue
+/// yields nothing, so paused jobs stay queued. Once the queue is closed
+/// the pops drain it, every held job flushes, and the final blocking
+/// pop ends the loop.
 fn batcher_loop(shared: &Shared) {
     let mut core: BatcherCore<Job> = BatcherCore::new(shared.config.batch);
-    loop {
-        let now = shared.clock.now_ms();
-        if core.due(now) {
-            flush(shared, &mut core);
-            continue;
-        }
-        let timeout = core
-            .deadline_ms()
-            .map(|deadline| Duration::from_millis(deadline.saturating_sub(now).max(1)));
-        match shared.admission.pop_wait(timeout) {
-            Pop::Item(mut job) => {
-                let rows = job.rows.len();
-                let popped = shared.clock.now_ms();
-                job.popped_ms = popped;
-                core.push(job, rows, popped);
-                obs::gauge("survd.queue_depth", shared.admission.len() as f64);
-            }
-            Pop::TimedOut => {} // due() decides on the next pass
-            Pop::Drained => {
-                while !core.is_empty() {
-                    flush(shared, &mut core);
+    while let Some(job) = shared.admission.pop_wait() {
+        hold(shared, &mut core, job);
+        while !core.is_empty() {
+            let intake_empty = match shared.admission.try_pop() {
+                Some(job) => {
+                    hold(shared, &mut core, job);
+                    false
                 }
-                break;
+                None => true,
+            };
+            if core.due(shared.clock.now_us(), intake_empty) {
+                flush(shared, &mut core);
             }
         }
     }
+}
+
+/// Stamps a popped job and hands it to the core.
+fn hold(shared: &Shared, core: &mut BatcherCore<Job>, mut job: Job) {
+    let popped_us = shared.clock.now_us();
+    job.popped_us = popped_us;
+    let rows = job.rows.len();
+    core.push(job, rows, popped_us);
+    obs::gauge("survd.queue_depth", shared.admission.len() as f64);
 }
 
 fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
@@ -912,13 +947,13 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
     // *before* spending scoring time on it. Disabled when the deadline
     // is 0. Drain overrides degradation — an admitted request must be
     // scored and answered during shutdown, never dropped.
-    let deadline = shared.config.request_deadline_ms;
-    let (live, late): (Vec<Job>, Vec<Job>) = if deadline == 0 || shared.draining() {
+    let deadline_us = shared.config.request_deadline_ms.saturating_mul(1000);
+    let (live, late): (Vec<Job>, Vec<Job>) = if deadline_us == 0 || shared.draining() {
         (jobs, Vec::new())
     } else {
-        let now = shared.clock.now_ms();
+        let now_us = shared.clock.now_us();
         jobs.into_iter()
-            .partition(|job| now.saturating_sub(job.admitted_ms) <= deadline)
+            .partition(|job| now_us.saturating_sub(job.admitted_us) <= deadline_us)
     };
     for job in late {
         job.slot.fulfill(Reply::Degraded);
@@ -938,17 +973,11 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
     // Queue-wait (push → pop) and batch-wait (pop → flush) close here,
     // one observation per live job — the counting identity the latency
     // artifact validator pins (observations == 200 responses).
-    let flush_ms = shared.clock.now_ms();
+    let flush_us = shared.clock.now_us();
     if obs::enabled() {
         for job in &live {
-            obs::observe(
-                STAGE_QUEUE_WAIT,
-                job.popped_ms.saturating_sub(job.admitted_ms) as f64,
-            );
-            obs::observe(
-                STAGE_BATCH_WAIT,
-                flush_ms.saturating_sub(job.popped_ms) as f64,
-            );
+            obs::observe(STAGE_QUEUE_WAIT, elapsed_ms(job.admitted_us, job.popped_us));
+            obs::observe(STAGE_BATCH_WAIT, elapsed_ms(job.popped_us, flush_us));
         }
     }
     let batch = {
@@ -960,7 +989,7 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
         )
     };
     debug_assert_eq!(batch.rows.len(), total_rows);
-    let score_ms = shared.clock.now_ms().saturating_sub(flush_ms) as f64;
+    let score_ms = elapsed_ms(flush_us, shared.clock.now_us());
     // One score-stage observation per row (each carrying the per-row
     // share of the kernel time), so the sketch's observation count
     // equals rows scored.
@@ -974,7 +1003,9 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
     if let Some(monitor) = &shared.drift {
         let mut buckets = [0u64; DRIFT_BUCKETS];
         for row in &batch.rows {
-            buckets[monitor.record(row.positive)] += 1;
+            if let Some(bucket) = buckets.get_mut(monitor.record(row.positive)) {
+                *bucket += 1;
+            }
         }
         if obs::enabled() {
             const BUCKET_COUNTERS: [&str; DRIFT_BUCKETS] = [
@@ -1026,8 +1057,8 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
             threshold,
             scores,
             lifecycle: Lifecycle {
-                queue_wait_ms: job.popped_ms.saturating_sub(job.admitted_ms) as f64,
-                batch_wait_ms: flush_ms.saturating_sub(job.popped_ms) as f64,
+                queue_wait_ms: elapsed_ms(job.admitted_us, job.popped_us),
+                batch_wait_ms: elapsed_ms(job.popped_us, flush_us),
                 score_ms: score_per_row_ms * job.rows.len() as f64,
             },
         });

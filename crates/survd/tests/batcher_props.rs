@@ -15,9 +15,16 @@
 //! The forest thread limit is process-global, so everything runs in
 //! one `#[test]` body; batch-policy and thread-limit sweeps nest
 //! inside the property closure.
+//!
+//! A third property, `natural_batching_holds_nothing_when_idle`, pins
+//! the work-conserving flush rule: under a frozen clock, any
+//! interleaving of arrivals and batcher steps leaves no request held
+//! once the intake runs dry, while batches still partition arrival
+//! order and respect `max_rows`.
 
 use proptest::prelude::*;
-use survd::{BatchPolicy, BatcherCore};
+use std::collections::VecDeque;
+use survd::{BatchPolicy, BatcherCore, Clock, ManualClock};
 
 /// A small but non-trivial model over a deterministic synthetic
 /// dataset, plus a scoring corpus drawn from the same feature space.
@@ -145,5 +152,87 @@ proptest! {
             prop_assert_eq!(&single, &multi, "request {} varies with thread limit", r);
         }
         forest::parallel::set_thread_limit(None);
+    }
+}
+
+/// Flushes one batch and checks it against the row cap: a batch is
+/// non-empty and either fits `max_rows` or is one oversized request.
+fn flush_one(core: &mut BatcherCore<(usize, usize)>, max_rows: usize, flushed: &mut Vec<usize>) {
+    let batch = core.take_batch();
+    let rows: usize = batch.iter().map(|&(_, rows)| rows).sum();
+    prop_assert!(!batch.is_empty(), "a due core flushes something");
+    prop_assert!(
+        rows <= max_rows || batch.len() == 1,
+        "batch of {} requests carries {} rows over max_rows {}",
+        batch.len(),
+        rows,
+        max_rows
+    );
+    flushed.extend(batch.iter().map(|&(id, _)| id));
+}
+
+/// One pass of the server's batch loop at the frozen instant `now`:
+/// pop if the intake yields, flush if due. Once the intake is empty,
+/// every held request must flush without the clock moving.
+fn step(
+    core: &mut BatcherCore<(usize, usize)>,
+    intake: &mut VecDeque<(usize, usize)>,
+    now: u64,
+    flushed: &mut Vec<usize>,
+) {
+    let max_rows = core.policy().max_rows;
+    let intake_empty = match intake.pop_front() {
+        Some((id, rows)) => {
+            core.push((id, rows), rows, now);
+            false
+        }
+        None => true,
+    };
+    if core.due(now, intake_empty) {
+        flush_one(core, max_rows, flushed);
+    }
+    if intake_empty {
+        while !core.is_empty() {
+            prop_assert!(core.due(now, true), "work held with an empty intake");
+            flush_one(core, max_rows, flushed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn natural_batching_holds_nothing_when_idle(
+        // 0 = one batcher step; k > 0 = a request of k rows arrives in
+        // the intake.
+        events in prop::collection::vec(0usize..=12, 1..=60),
+        max_rows in 1usize..=16,
+        max_wait_ms in 1u64..=5,
+    ) {
+        // The clock never moves, so `max_wait_ms` never binds: every
+        // flush is owed to the row cap or to an empty intake.
+        let clock = ManualClock::new();
+        let now = clock.now_us();
+        let mut core = BatcherCore::new(BatchPolicy { max_rows, max_wait_ms });
+        let mut intake: VecDeque<(usize, usize)> = VecDeque::new();
+        let mut arrived = 0usize;
+        let mut flushed: Vec<usize> = Vec::new();
+
+        for &event in &events {
+            if event == 0 {
+                step(&mut core, &mut intake, now, &mut flushed);
+            } else {
+                intake.push_back((arrived, event));
+                arrived += 1;
+            }
+        }
+        // Arrivals stop: the batcher drains the intake and goes idle.
+        while !intake.is_empty() || !core.is_empty() {
+            step(&mut core, &mut intake, now, &mut flushed);
+        }
+        prop_assert_eq!(core.pending_rows(), 0);
+        let expected: Vec<usize> = (0..arrived).collect();
+        prop_assert_eq!(flushed, expected, "batches must partition arrival order");
     }
 }

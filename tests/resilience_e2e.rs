@@ -23,6 +23,8 @@
 //! 6. **Hostile bodies** — a body nested far past the parser's depth
 //!    limit and one long string, each just under the body cap, get a
 //!    4xx promptly and the daemon keeps serving correct 200s.
+//! 7. **Model-sized reloads** — `/reload` has its own body cap, so a
+//!    valid model larger than the 1 MiB `/score` cap swaps in.
 //!
 //! Tests share the process-global forest thread limit and obs registry
 //! slot, so they serialize on one mutex.
@@ -424,6 +426,59 @@ fn hostile_bodies_are_refused_and_the_daemon_keeps_serving() {
     let stats = handle.shutdown();
     assert_eq!(stats.reloads_rejected, 1);
     assert_eq!(stats.reloads_ok, 0);
+}
+
+#[test]
+fn model_over_the_score_body_cap_reloads() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    // Same feature schema, enough trees that the document outgrows the
+    // 1 MiB `/score` body cap the way a default-scale model does.
+    let data = dataset();
+    let params = forest::RandomForestParams {
+        n_trees: 640,
+        ..forest::RandomForestParams::default()
+    };
+    let big = serve::SavedModel::new(
+        forest::RandomForest::fit(&data, &params, 41),
+        serve::ModelMeta {
+            positive_fraction: data.class_fraction(1),
+            seed: 41,
+            params,
+            grid: None,
+        },
+    );
+    let document = big.render();
+    let config = ServerConfig::default();
+    assert!(
+        document.len() > config.http.max_body_bytes,
+        "fixture model is only {} bytes",
+        document.len()
+    );
+    assert!(document.len() <= survd::server::MAX_RELOAD_BODY_BYTES);
+    let handle = survd::start(model.clone(), config, None).expect("start daemon");
+    let mut client = connect(handle.addr());
+
+    let response = client
+        .request("POST", "/reload", document.as_bytes())
+        .expect("reload request");
+    assert_eq!(response.status, 200, "{:?}", response.text());
+    assert_eq!(handle.generation(), 2);
+
+    // The big model now serves, bitwise equal to its offline scores.
+    // (The 1 MiB `/score` cap itself is pinned by the oversized-frame
+    // chaos class.)
+    let response = client
+        .score(&survd::render_score_request(corpus))
+        .expect("score after reload");
+    assert_eq!(response.status, 200);
+    let parsed = survd::parse_score_response(response.text().expect("utf8")).expect("valid");
+    assert_eq!(parsed.generation, 2);
+    assert_eq!(parsed.results, offline_scores(&big, corpus));
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.reloads_ok, 1);
+    assert_eq!(stats.reloads_rejected, 0);
 }
 
 #[test]

@@ -414,6 +414,85 @@ fn stage_sketches_and_drift_obey_counting_identities() {
     assert!((0.0..=1.0).contains(&drift.divergence()));
 }
 
+#[test]
+fn stage_sketches_register_sub_millisecond_stages() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let registry = std::sync::Arc::new(obs::Registry::new());
+    let obs_guard = registry.install();
+    let handle = survd::start(
+        model.clone(),
+        ServerConfig::default(),
+        Some(std::sync::Arc::clone(&registry)),
+    )
+    .expect("start daemon");
+    let mut client = connect(handle.addr());
+    let requests = 16usize;
+    for row in corpus.iter().take(requests) {
+        let response = client
+            .score(&survd::render_score_request(std::slice::from_ref(row)))
+            .expect("score request");
+        assert_eq!(response.status, 200);
+    }
+    let stats = handle.shutdown();
+    drop(obs_guard);
+    assert_eq!(stats.score_ok, requests as u64);
+
+    // An idle daemon flushes a lone request at once, so its waits are
+    // microseconds: they must land in sub-millisecond buckets, not
+    // round to 0. Bucket 0 holds exact zeros; the bucket bounded by
+    // 0.5 ms is the last one strictly below 1 ms.
+    let sub_ms = 1..=obs::sketch::bucket_index(0.5);
+    let [queue_wait, batch_wait, _, _, total] = survd::stage_sketches(&registry.snapshot());
+    for (name, sketch) in [
+        ("queue_wait", &queue_wait),
+        ("batch_wait", &batch_wait),
+        ("total", &total),
+    ] {
+        assert_eq!(
+            sketch.total(),
+            stats.score_ok,
+            "stage {name} observes once per 200 response"
+        );
+        let counts = sketch.counts();
+        let non_zero_sub_ms: u64 = sub_ms.clone().filter_map(|i| counts.get(i)).sum();
+        assert!(
+            non_zero_sub_ms > 0,
+            "stage {name} recorded no non-zero sub-millisecond observation: {counts:?}"
+        );
+    }
+}
+
+#[test]
+fn frozen_clock_daemon_answers_a_lone_request_at_once() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let expected: Vec<RowScore> =
+        serve::score_rows(&model.forest, corpus, model.meta.positive_fraction)
+            .rows
+            .iter()
+            .map(RowScore::from_scored)
+            .collect();
+    // The clock never advances, so no timer can ever expire: the
+    // request is answered only because an idle batcher flushes at once.
+    let clock = std::sync::Arc::new(survd::ManualClock::new());
+    let handle = survd::start_with_clock(model.clone(), ServerConfig::default(), None, clock)
+        .expect("start daemon");
+    // A read timeout turns a batcher that waits on the clock into a
+    // failed request instead of a hung test.
+    let mut client =
+        Client::connect(handle.addr(), Some(Duration::from_secs(5))).expect("connect to daemon");
+    let rows: Vec<Vec<f64>> = corpus.iter().skip(40).take(3).cloned().collect();
+    let response = client
+        .score(&survd::render_score_request(&rows))
+        .expect("a lone request is answered without the clock moving");
+    assert_eq!(response.status, 200);
+    let parsed = survd::parse_score_response(response.text().expect("utf8")).expect("valid");
+    assert_eq!(parsed.results, expected[40..43].to_vec());
+    let stats = handle.shutdown();
+    assert_eq!((stats.score_ok, stats.batches), (1, 1));
+}
+
 /// One fixed single-connection load run against a `workers`-wide
 /// daemon; returns the deterministic latency section and the full
 /// rendered artifact.
