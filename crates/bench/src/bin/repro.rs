@@ -4,7 +4,7 @@
 //! cargo run -p bench --release --bin repro -- <id> [flags]
 //!
 //! ids:   fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig9 tab1 tab2
-//!        obs factors prov sweep calib models segments all
+//!        obs factors prov sweep calib models ablate segments all
 //! flags: --scale F   population scale (default 0.5)
 //!        --seed N    master seed
 //!        --grid off|light|full
@@ -32,7 +32,7 @@ use telemetry::{Census, Edition, RegionId};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        obs::error!("repro", "usage: repro <fig1|fig2|fig3|fig5|fig6|fig7|fig8|fig9|tab1|tab2|obs|factors|prov|sweep|calib|models|segments|all> [flags]");
+        obs::error!("repro", "usage: repro <fig1|fig2|fig3|fig5|fig6|fig7|fig8|fig9|tab1|tab2|obs|factors|prov|sweep|calib|models|ablate|segments|all> [flags]");
         std::process::exit(2);
     };
     let options = match parse_options(&args[1..]) {
@@ -67,6 +67,7 @@ fn main() {
         "sweep" => sweep(&mut harness),
         "calib" => calib(&mut harness),
         "models" => models(&mut harness),
+        "ablate" => ablate(&mut harness),
         "segments" => segments(&mut harness),
         "all" => {
             fig1(&mut harness);
@@ -85,6 +86,7 @@ fn main() {
             sweep(&mut harness);
             calib(&mut harness);
             models(&mut harness);
+            ablate(&mut harness);
             segments(&mut harness);
         }
         other => {
@@ -901,8 +903,8 @@ fn calib(h: &mut Harness) {
 
 /// Extension: model-family comparison the paper deliberately skipped
 /// (§6: "The goal of our work was not to compare different
-/// approaches"). Random forest vs gradient boosting vs a single tree vs
-/// the weighted-random baseline, on one held-out split.
+/// approaches"). Random forest vs a single tree vs the weighted-random
+/// baseline, on one held-out split.
 fn models(h: &mut Harness) {
     println!(
         "\n================ model-family comparison (Region-1, whole population, extension)\n"
@@ -966,15 +968,6 @@ fn models(h: &mut Harness) {
     let (s, auc) = score(&rf_preds, Some(&rf_probs));
     report("random forest", s, auc);
 
-    // Gradient boosting.
-    let gbm = forest::GradientBoosting::fit(&train, &forest::GbmParams::default(), seed);
-    let gbm_probs: Vec<f64> = (0..test.len())
-        .map(|i| gbm.predict_positive_proba(&test.row(i)))
-        .collect();
-    let gbm_preds: Vec<usize> = gbm_probs.iter().map(|&p| (p > 0.5) as usize).collect();
-    let (s, auc) = score(&gbm_preds, Some(&gbm_probs));
-    report("gradient boosting", s, auc);
-
     // Single CART tree (the ensemble ablated to one member).
     let single = forest::RandomForestParams {
         n_trees: 1,
@@ -996,8 +989,122 @@ fn models(h: &mut Harness) {
     let (s, _) = score(&baseline_preds, None);
     report("weighted random", s, None);
 
-    println!("\n  expectation: both ensembles land close together, well above a single tree and the baseline");
+    println!("\n  expectation: the forest lands well above a single tree and the baseline");
     h.write_artifact("models", &artifact);
+}
+
+/// Design-choice ablations behind §5.4 and DESIGN.md: held-out
+/// accuracy as the forest size, the depth limit, bootstrapping and the
+/// feature families vary one at a time around a 40-tree forest. The
+/// data is fixed, independent of `--scale` and `--seed`: Region-1 at
+/// scale 0.15 with fleet seed 2018, a 25% stratified holdout with seed
+/// 7, and fit seed 7. Training cost is `perfbench study`'s to measure.
+fn ablate(h: &mut Harness) {
+    println!("\n================ design-choice ablations (Region-1, scale 0.15, extension)\n");
+    let fleet = telemetry::Fleet::generate(telemetry::FleetConfig::new(
+        telemetry::RegionConfig::region_1().scaled(0.15),
+        2018,
+    ));
+    let census = Census::new(&fleet);
+    let extractor = features::FeatureExtractor::new(&census, features::FeatureConfig::default());
+    let (data, _) = extractor.build_dataset(&census, None);
+
+    struct AblationRow {
+        study: &'static str,
+        setting: String,
+        features: usize,
+        accuracy: f64,
+    }
+    impl ToJson for AblationRow {
+        fn to_json_value(&self) -> JsonV {
+            JsonV::obj(vec![
+                ("study", self.study.to_json_value()),
+                ("setting", self.setting.to_json_value()),
+                ("features", self.features.to_json_value()),
+                ("accuracy", self.accuracy.to_json_value()),
+            ])
+        }
+    }
+    let mut artifact: Vec<AblationRow> = Vec::new();
+    let mut run = |study: &'static str,
+                   setting: String,
+                   dataset: &forest::Dataset,
+                   params: &forest::RandomForestParams| {
+        let (train, test) = forest::train_test_split(dataset, 0.25, 7);
+        let model = forest::RandomForest::fit(&train, params, 7);
+        let preds: Vec<usize> = (0..test.len())
+            .map(|i| model.predict_row(&test, i))
+            .collect();
+        let actual: Vec<usize> = (0..test.len()).map(|i| test.label(i)).collect();
+        let accuracy = forest::ConfusionMatrix::from_predictions(&preds, &actual).accuracy();
+        println!(
+            "  {study:<9} = {setting:<10}: holdout accuracy {accuracy:.3} ({} features)",
+            dataset.feature_count()
+        );
+        artifact.push(AblationRow {
+            study,
+            setting,
+            features: dataset.feature_count(),
+            accuracy,
+        });
+    };
+
+    let forest_40 = forest::RandomForestParams {
+        n_trees: 40,
+        ..forest::RandomForestParams::default()
+    };
+    for n_trees in [10, 40, 120] {
+        let params = forest::RandomForestParams {
+            n_trees,
+            ..forest::RandomForestParams::default()
+        };
+        run("trees", n_trees.to_string(), &data, &params);
+    }
+    for max_depth in [4, 10, 24] {
+        let params = forest::RandomForestParams {
+            tree: forest::TreeParams {
+                max_depth,
+                ..forest::TreeParams::default()
+            },
+            ..forest_40
+        };
+        run("depth", max_depth.to_string(), &data, &params);
+    }
+    for bootstrap in [true, false] {
+        let params = forest::RandomForestParams {
+            bootstrap,
+            ..forest_40
+        };
+        run("bootstrap", bootstrap.to_string(), &data, &params);
+    }
+    // Dropping a family measures its contribution to the §5.4 ranking.
+    type Keep = fn(&str) -> bool;
+    let families: [(&str, Keep); 4] = [
+        ("full", |_| true),
+        ("no-history", |n| !n.starts_with("hist_")),
+        ("no-names", |n| {
+            !(n.starts_with("server_") || n.starts_with("db_"))
+        }),
+        ("no-time", |n| !n.starts_with("created_")),
+    ];
+    for (label, keep) in families {
+        let keep_idx: Vec<usize> = (0..data.feature_count())
+            .filter(|&i| keep(&data.feature_names()[i]))
+            .collect();
+        let names = keep_idx
+            .iter()
+            .map(|&i| data.feature_names()[i].clone())
+            .collect();
+        let mut subset = forest::Dataset::new(names, data.class_count());
+        for r in 0..data.len() {
+            subset.push(
+                keep_idx.iter().map(|&i| data.value(r, i)).collect(),
+                data.label(r),
+            );
+        }
+        run("features", label.to_string(), &subset, &forest_40);
+    }
+    h.write_artifact("ablate", &artifact);
 }
 
 /// §7's actionable conclusion: segment subscriptions from their first

@@ -175,30 +175,6 @@ fn main() {
         batch.rows.len()
     );
 
-    // Quantized variant: opt-in elsewhere, but every vote must agree
-    // with the exact kernel on the bench corpus.
-    let quantized = kernel.quantize();
-    let vote_flips = rows
-        .iter()
-        .zip(&batch.rows)
-        .filter(|(row, scored)| {
-            let p = quantized.predict_proba(row);
-            ((p[1] > 0.5) as usize) != scored.predicted
-        })
-        .count();
-    if vote_flips > 0 {
-        obs::error!(
-            "scored",
-            "quantized kernel flipped {vote_flips} of {} votes on the bench corpus",
-            batch.rows.len()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "[scored] quantized kernel vote agreement OK ({} rows)",
-        batch.rows.len()
-    );
-
     println!();
     print!("{}", survdb::report::scoring_block(&summary));
 

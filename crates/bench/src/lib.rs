@@ -1,5 +1,5 @@
-//! Shared harness machinery for the `repro` binary and the Criterion
-//! benches.
+//! Shared harness machinery for the `repro` binary and the other
+//! bench binaries.
 //!
 //! The expensive artifact of the reproduction is the grid of nine
 //! subgroup experiments (three regions × three creation editions);
@@ -8,7 +8,6 @@
 
 pub mod artifact;
 pub mod fleet;
-pub mod legacy;
 pub mod model_source;
 pub mod policyart;
 
@@ -137,11 +136,15 @@ impl Harness {
     }
 }
 
-/// Shared epilogue of the `repro` / `trainperf` / `faultsweep`
-/// binaries: prints the per-phase timing breakdown and the counter
-/// table from `registry`, then writes `artifact_dir/run_trace.json`
-/// for `binary`.
-pub fn finish_trace(registry: &obs::Registry, binary: &str, artifact_dir: &std::path::Path) {
+/// Shared epilogue of every binary that records a run trace: prints
+/// the per-phase timing breakdown and the counter table from
+/// `registry`, then writes `artifact_dir/run_trace.json` for `binary`,
+/// which also names the event target of a write error.
+pub fn finish_trace(
+    registry: &obs::Registry,
+    binary: &'static str,
+    artifact_dir: &std::path::Path,
+) {
     let snapshot = registry.snapshot();
     println!("\n================ Run trace ({binary})\n");
     print!("{}", survdb::report::phase_table(&snapshot));
@@ -154,23 +157,7 @@ pub fn finish_trace(registry: &obs::Registry, binary: &str, artifact_dir: &std::
         forest::parallel::thread_limit(),
     ) {
         Ok(path) => println!("\n[{binary}] wrote {}", path.display()),
-        Err(e) => obs::error!(binary_target(binary), "cannot write run trace: {e}"),
-    }
-}
-
-/// Maps a binary name to its static event target (event targets are
-/// `&'static str`).
-fn binary_target(binary: &str) -> &'static str {
-    match binary {
-        "repro" => "repro",
-        "trainperf" => "trainperf",
-        "faultsweep" => "faultsweep",
-        "scored" => "scored",
-        "survd" => "survd",
-        "loadgen" => "loadgen",
-        "fleetbench" => "fleetbench",
-        "policybench" => "policybench",
-        _ => "bench",
+        Err(e) => obs::error!(binary, "cannot write run trace: {e}"),
     }
 }
 

@@ -699,7 +699,7 @@ pub fn validate_policy(text: &str) -> Result<(), String> {
         sweeps.push(sweep);
     }
 
-    // The headline criterion: on the adversarial incentive-cliff
+    // The headline check: on the adversarial incentive-cliff
     // cohort the best sweep threshold strictly beats both naive
     // baselines.
     let cliff = expected_labels

@@ -7,30 +7,23 @@
 //! array and replaces the branch with arithmetic node stepping:
 //!
 //! ```text
-//! next = node.kids[(value > node.threshold) | (is_nan & default_right)]
+//! next = node.kids[!(value <= node.threshold)]
 //! ```
 //!
-//! **Node layout.** Each node is one 24-byte record (16 for the
-//! quantized kernel): threshold, feature index packed with the
-//! default-direction bit, and both child indices — a step touches at
-//! most two cache lines. All trees share the global array; within a
-//! tree's slice the internal nodes come first and the leaves after
-//! them, so `idx < leaf_start[t]` is the "still walking" test without
+//! **Node layout.** Each node is one 24-byte record: threshold,
+//! feature index, and both child indices — a step touches at most two
+//! cache lines. All trees share the global array; within a tree's
+//! slice the internal nodes come first and the leaves after them, so
+//! `idx < leaf_start[t]` is the "still walking" test without
 //! inspecting the node. Leaves fold into the same array as self-loops
 //! (both children point back at the leaf, threshold `+inf`), keeping
 //! the step function total.
 //!
 //! **Missing values.** `NaN` fails every ordered comparison, so the
 //! recursive `value <= threshold → left` walk always sends `NaN`
-//! right. The kernel encodes that as a *default-direction bit* packed
-//! into bit 31 of each node's feature word: the step ORs the bit in
-//! when `value != value`. Trainer-built trees set the bit to 1
-//! (right) on every node — which is also why they take the
-//! single-compare fast path (`!(value <= threshold)` sends `NaN`
-//! right with no mask at all, see
-//! [`KernelThreshold::goes_right_or_missing`]) — preserving bitwise
-//! parity with the recursive path; the encoding leaves room for
-//! learned default directions later.
+//! right. The kernel's single compare `!(value <= threshold)` is true
+//! for `NaN` too, so missing values go right by the compare itself,
+//! with no mask — bitwise parity with the recursive path.
 //!
 //! **Blocking.** The traversal works on [`ROW_TILE`]-row tiles held
 //! feature-major (stride `ROW_TILE`), so one level of stepping reads
@@ -39,21 +32,17 @@
 //! (level-synchronous, so the independent per-row chains pipeline)
 //! while its nodes stay hot across the tile, and rows that reach a
 //! leaf compact out of a *live list* so retired rows cost nothing on
-//! deeper levels. [`Kernel::score_tile_into`] consumes a
+//! deeper levels. [`ForestKernel::score_tile_into`] consumes a
 //! pre-gathered feature-major tile (the serving layer fills it with
-//! one memcpy per feature column); [`Kernel::score_block_into`]
+//! one memcpy per feature column); [`ForestKernel::score_block_into`]
 //! accepts row-major input and transposes each tile into scratch
 //! first.
 //!
 //! **Parity.** Per row, leaf distributions accumulate in ascending
 //! tree order and divide by the tree count last — the exact f64
-//! operation sequence of `RandomForest::predict_proba`, so the exact
-//! kernel ([`ForestKernel`]) agrees *bitwise* with the recursive path
-//! on every input, including `NaN`, `±0.0`, and threshold-equal
-//! values. The quantized variant ([`QuantizedKernel`], `f32`
-//! thresholds, opt-in via [`Kernel::quantize`]) trades that guarantee
-//! for a smaller working set; it is only vote-compatible, and callers
-//! must verify agreement on their own corpus before trusting it.
+//! operation sequence of `RandomForest::predict_proba`, so the kernel
+//! agrees *bitwise* with the recursive path on every input,
+//! including `NaN`, `±0.0`, and threshold-equal values.
 
 use crate::random_forest::RandomForest;
 use crate::tree::FlatTree;
@@ -64,66 +53,14 @@ use crate::tree::FlatTree;
 /// chunk size, so one scoring chunk is exactly one tile.
 pub const ROW_TILE: usize = 64;
 
-/// Bit 31 of the packed `feature` column: send missing (`NaN`) values
-/// right when set. Feature indices are confined to the low 31 bits.
-const DEFAULT_RIGHT_BIT: u32 = 1 << 31;
-const FEATURE_MASK: u32 = DEFAULT_RIGHT_BIT - 1;
-
-/// Threshold representation a kernel compares feature values against.
-///
-/// `f64` is the exact variant (bitwise parity with the recursive
-/// path); `f32` is the quantized variant (both sides of the compare
-/// round to `f32`).
-pub trait KernelThreshold: Copy + Send + Sync + std::fmt::Debug + 'static {
-    /// Converts an exact split threshold into this representation.
-    fn from_f64(threshold: f64) -> Self;
-    /// Whether `value` takes the right child (`value > threshold` in
-    /// this representation). Must return `false` for `NaN` — the
-    /// default-direction bit decides missing values.
-    fn goes_right(value: f64, threshold: Self) -> bool;
-    /// Whether `value` takes the right child on a node whose missing
-    /// default is *right*: must equal
-    /// `goes_right(value, threshold) || value.is_nan()`. Implemented
-    /// as the single comparison `!(value <= threshold)` — `NaN` fails
-    /// the ordered compare and falls right for free, which is what
-    /// makes the all-default-right fast path one branchless compare
-    /// per step.
-    fn goes_right_or_missing(value: f64, threshold: Self) -> bool;
-}
-
-impl KernelThreshold for f64 {
-    #[inline(always)]
-    fn from_f64(threshold: f64) -> f64 {
-        threshold
-    }
-    #[inline(always)]
-    fn goes_right(value: f64, threshold: f64) -> bool {
-        value > threshold
-    }
-    #[inline(always)]
-    // The negated compare is the point: unlike `value > threshold`,
-    // `!(value <= threshold)` is true for NaN — missing goes right.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn goes_right_or_missing(value: f64, threshold: f64) -> bool {
-        !(value <= threshold)
-    }
-}
-
-impl KernelThreshold for f32 {
-    #[inline(always)]
-    fn from_f64(threshold: f64) -> f32 {
-        threshold as f32
-    }
-    #[inline(always)]
-    fn goes_right(value: f64, threshold: f32) -> bool {
-        (value as f32) > threshold
-    }
-    #[inline(always)]
-    // Same as the f64 impl: the negated compare sends NaN right.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn goes_right_or_missing(value: f64, threshold: f32) -> bool {
-        !((value as f32) <= threshold)
-    }
+/// Whether `value` takes the right child: the single compare
+/// `!(value <= threshold)`. Unlike `value > threshold` it is true for
+/// `NaN`, which fails the ordered compare and falls right — exactly
+/// where the recursive `value <= threshold → left` walk sends it.
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn goes_right(value: f64, threshold: f64) -> bool {
+    !(value <= threshold)
 }
 
 /// Traversal statistics of one kernel call — fed to the
@@ -149,7 +86,7 @@ impl KernelStats {
 
 /// Reusable per-worker traversal scratch: the per-row node cursors of
 /// the current tile. Construct once per worker and pass to every
-/// [`Kernel::score_block_into`] call — the hot loop then allocates
+/// [`ForestKernel::score_block_into`] call — the hot loop then allocates
 /// nothing.
 #[derive(Debug)]
 pub struct KernelScratch {
@@ -180,33 +117,29 @@ impl Default for KernelScratch {
     }
 }
 
-/// One linearized node, kept as a single packed record so a step
-/// touches one or two cache lines instead of one line per column
-/// (24 bytes for the exact `f64` kernel, 16 for the quantized `f32`
-/// one).
+/// One linearized node, kept as a single 24-byte record so a step
+/// touches one or two cache lines instead of one line per column.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-struct Node<T> {
+struct Node {
     /// Split threshold (`+inf` for leaves, so every finite value
     /// self-loops left and `NaN` self-loops right).
-    threshold: T,
-    /// Feature index in the low 31 bits, default-direction bit
-    /// (missing goes right) in bit 31. Leaves store feature 0.
-    packed: u32,
+    threshold: f64,
+    /// Feature index tested. Leaves store feature 0.
+    feature: u32,
     /// Absolute child indices; leaves point at themselves.
     kids: [u32; 2],
 }
 
 /// The linearized forest: every tree's nodes flattened into one
 /// shared node array, internal nodes before leaves per tree, leaves
-/// as self-loops. Generic over the threshold representation — see
-/// [`ForestKernel`] (exact) and [`QuantizedKernel`] (opt-in).
+/// as self-loops.
 #[derive(Debug, Clone)]
-pub struct Kernel<T: KernelThreshold = f64> {
+pub struct ForestKernel {
     feature_count: usize,
     class_count: usize,
     /// All trees' nodes, tree-contiguous, internal-first per tree.
-    nodes: Vec<Node<T>>,
+    nodes: Vec<Node>,
     /// Per node: offset of the node's distribution inside
     /// `leaf_probabilities` (leaves only; 0 for internal nodes).
     leaf_off: Vec<u32>,
@@ -217,21 +150,7 @@ pub struct Kernel<T: KernelThreshold = f64> {
     /// Per tree: absolute index of the first leaf slot — a cursor has
     /// reached a leaf exactly when `idx >= leaf_start[t]`.
     leaf_start: Vec<u32>,
-    /// Whether every node's default direction is *right* (true for
-    /// all trainer-built forests). When set, the tile traversal takes
-    /// the single-compare fast path
-    /// ([`KernelThreshold::goes_right_or_missing`]) instead of
-    /// materializing the NaN mask per step.
-    all_default_right: bool,
 }
-
-/// The exact-`f64` kernel: bitwise-identical to the recursive path.
-pub type ForestKernel = Kernel<f64>;
-
-/// The quantized-`f32` kernel: smaller threshold column, *not*
-/// bitwise-exact. Opt-in via [`Kernel::quantize`]; verify vote
-/// agreement on your corpus before serving with it.
-pub type QuantizedKernel = Kernel<f32>;
 
 impl ForestKernel {
     /// Linearizes a fitted forest. The layout build is `O(nodes)` and
@@ -239,7 +158,7 @@ impl ForestKernel {
     /// not per batch.
     pub fn from_forest(model: &RandomForest) -> ForestKernel {
         let _span = obs::span!("kernel_build");
-        let mut kernel = Kernel {
+        let mut kernel = ForestKernel {
             feature_count: model.feature_names().len(),
             class_count: model.class_count(),
             nodes: Vec::new(),
@@ -247,44 +166,13 @@ impl ForestKernel {
             leaf_probabilities: Vec::new(),
             roots: Vec::with_capacity(model.tree_count()),
             leaf_start: Vec::with_capacity(model.tree_count()),
-            all_default_right: false,
         };
         for tree in model.trees() {
             kernel.push_tree(&tree.to_flat());
         }
-        kernel.all_default_right = kernel
-            .nodes
-            .iter()
-            .all(|n| n.packed & DEFAULT_RIGHT_BIT != 0);
         kernel.validate_layout();
         obs::count("forest.kernel_nodes", kernel.nodes.len() as u64);
         kernel
-    }
-
-    /// The quantized variant of this kernel: thresholds narrowed to
-    /// `f32`, compares performed in `f32`. Explicitly opt-in — it
-    /// does not share the exact kernel's bitwise guarantee.
-    pub fn quantize(&self) -> QuantizedKernel {
-        let quantized = Kernel {
-            feature_count: self.feature_count,
-            class_count: self.class_count,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| Node {
-                    threshold: n.threshold as f32,
-                    packed: n.packed,
-                    kids: n.kids,
-                })
-                .collect(),
-            leaf_off: self.leaf_off.clone(),
-            leaf_probabilities: self.leaf_probabilities.clone(),
-            roots: self.roots.clone(),
-            leaf_start: self.leaf_start.clone(),
-            all_default_right: self.all_default_right,
-        };
-        quantized.validate_layout();
-        quantized
     }
 
     /// Appends one tree, renumbering its nodes internal-first. The
@@ -319,7 +207,7 @@ impl ForestKernel {
             total,
             Node {
                 threshold: 0.0,
-                packed: 0,
+                feature: 0,
                 kids: [0, 0],
             },
         );
@@ -330,22 +218,19 @@ impl ForestKernel {
             let slot = map[i] as usize;
             if kind == 1 {
                 debug_assert!((flat.feature[i] as usize) < self.feature_count);
-                // All trainer splits send missing values right,
-                // matching the recursive `value <= threshold -> left`
-                // walk (NaN fails the compare).
                 self.nodes[slot] = Node {
                     threshold: flat.threshold[i],
-                    packed: flat.feature[i] | DEFAULT_RIGHT_BIT,
+                    feature: flat.feature[i],
                     kids: [map[flat.left[i] as usize], map[flat.right[i] as usize]],
                 };
             } else {
                 // Leaf self-loop: threshold +inf keeps every finite
-                // value on the left self-edge; the default bit keeps
-                // NaN on the right self-edge. Feature 0 is always in
-                // range, so the (dead) load stays in bounds.
+                // value on the left self-edge and NaN on the right
+                // one. Feature 0 is always in range, so the (dead)
+                // load stays in bounds.
                 self.nodes[slot] = Node {
                     threshold: f64::INFINITY,
-                    packed: DEFAULT_RIGHT_BIT,
+                    feature: 0,
                     kids: [slot as u32, slot as u32],
                 };
                 self.leaf_off[slot] = self.leaf_probabilities.len() as u32;
@@ -357,12 +242,10 @@ impl ForestKernel {
         }
         debug_assert_eq!(prob_run, flat.leaf_probabilities.len());
     }
-}
 
-impl<T: KernelThreshold> Kernel<T> {
     /// Verifies the layout invariants the unchecked hot loops rely on
-    /// (see [`Kernel::score_block_into`]): every stored child index is
-    /// a valid node slot, every packed feature index is in range, and
+    /// (see [`ForestKernel::score_block_into`]): every stored child
+    /// index is a valid node slot, every feature index is in range, and
     /// every leaf's distribution offset stays inside
     /// `leaf_probabilities`. Runs once per build — `O(nodes)` next to
     /// an `O(nodes)` construction — so traversal never needs a bounds
@@ -371,14 +254,14 @@ impl<T: KernelThreshold> Kernel<T> {
         let n = self.nodes.len();
         assert_eq!(self.leaf_off.len(), n);
         assert_eq!(self.roots.len(), self.leaf_start.len());
-        assert!(self.feature_count <= FEATURE_MASK as usize);
+        assert!(self.feature_count <= u32::MAX as usize);
         for (&root, &leaf_start) in self.roots.iter().zip(&self.leaf_start) {
             assert!((root as usize) < n, "root out of range");
             assert!(leaf_start as usize <= n, "leaf_start out of range");
         }
         for (i, node) in self.nodes.iter().enumerate() {
             assert!(
-                ((node.packed & FEATURE_MASK) as usize) < self.feature_count,
+                (node.feature as usize) < self.feature_count,
                 "feature index out of range at node {i}"
             );
             assert!(
@@ -393,9 +276,7 @@ impl<T: KernelThreshold> Kernel<T> {
             }
         }
     }
-}
 
-impl<T: KernelThreshold> Kernel<T> {
     /// Features per row this kernel expects.
     pub fn feature_count(&self) -> usize {
         self.feature_count
@@ -428,17 +309,15 @@ impl<T: KernelThreshold> Kernel<T> {
         // every build) keeps all of them in bounds.
         unsafe {
             let node = self.nodes.get_unchecked(idx);
-            let value = *row.get_unchecked((node.packed & FEATURE_MASK) as usize);
-            let missing = (value.is_nan() as u32) & (node.packed >> 31);
-            let right = (T::goes_right(value, node.threshold) as u32) | missing;
+            let value = *row.get_unchecked(node.feature as usize);
+            let right = goes_right(value, node.threshold) as u32;
             *node.kids.get_unchecked(right as usize)
         }
     }
 
     /// Branchless single-row scoring: averaged class probabilities
     /// into `out`. Bitwise-identical to
-    /// `RandomForest::predict_proba` for the exact (`f64`) kernel.
-    /// Returns the node steps taken.
+    /// `RandomForest::predict_proba`. Returns the node steps taken.
     ///
     /// # Panics
     ///
@@ -553,7 +432,7 @@ impl<T: KernelThreshold> Kernel<T> {
     /// (`tile[f * ROW_TILE + r]` is feature `f` of row `r`); column
     /// slots at `tile_len..ROW_TILE` are never read. The averaged
     /// distributions for rows `0..tile_len` are written row-major to
-    /// `out`, bitwise identical to [`Kernel::score_block_into`] over
+    /// `out`, bitwise identical to [`ForestKernel::score_block_into`] over
     /// the same rows.
     ///
     /// # Panics
@@ -592,8 +471,9 @@ impl<T: KernelThreshold> Kernel<T> {
         }
     }
 
-    /// The shared per-tile traversal behind [`Kernel::score_block_into`]
-    /// and [`Kernel::score_tile_into`]: walks every tree over one
+    /// The shared per-tile traversal behind
+    /// [`ForestKernel::score_block_into`] and
+    /// [`ForestKernel::score_tile_into`]: walks every tree over one
     /// feature-major tile and writes the averaged distributions for
     /// rows `0..tile_len` to `tile_out`. Returns the internal-node
     /// steps taken.
@@ -603,29 +483,7 @@ impl<T: KernelThreshold> Kernel<T> {
     /// `tile_out.len() == tile_len * class_count` — together with
     /// `validate_layout` (run at every kernel build) these bound all
     /// the unchecked accesses below.
-    ///
-    /// Dispatches once per tile on [`Kernel::all_default_right`]:
-    /// trainer forests (default bit set everywhere) get the
-    /// single-compare step, anything else the general masked step —
-    /// both monomorphized, neither branching inside the hot loop.
     fn traverse_tile(
-        &self,
-        tile: &[f64],
-        tile_len: usize,
-        cursors: &mut [u32],
-        live: &mut [u32],
-        tile_out: &mut [f64],
-    ) -> u64 {
-        if self.all_default_right {
-            self.traverse_tile_impl::<true>(tile, tile_len, cursors, live, tile_out)
-        } else {
-            self.traverse_tile_impl::<false>(tile, tile_len, cursors, live, tile_out)
-        }
-    }
-
-    /// The monomorphized tile walk behind [`Kernel::traverse_tile`] —
-    /// same caller contract.
-    fn traverse_tile_impl<const ALL_RIGHT: bool>(
         &self,
         tile: &[f64],
         tile_len: usize,
@@ -653,9 +511,9 @@ impl<T: KernelThreshold> Kernel<T> {
                 //
                 // SAFETY: `validate_layout` (run at every kernel
                 // build) guarantees all roots/children are valid node
-                // slots and every packed feature index is
-                // `< feature_count`, so `idx`, `node.kids[right]`,
-                // and `feat * ROW_TILE + r` stay in bounds; every `r`
+                // slots and every feature index is `< feature_count`,
+                // so `idx`, `node.kids[right]`, and
+                // `feature * ROW_TILE + r` stay in bounds; every `r`
                 // in the live list is `< tile_len`, bounding the
                 // cursor and live-list accesses.
                 if root >= leaf_start {
@@ -667,15 +525,8 @@ impl<T: KernelThreshold> Kernel<T> {
                     macro_rules! step_row {
                         ($idx:expr, $r:expr) => {{
                             let node = nodes.get_unchecked($idx as usize);
-                            let value = *tile.get_unchecked(
-                                (node.packed & FEATURE_MASK) as usize * ROW_TILE + $r,
-                            );
-                            let right = if ALL_RIGHT {
-                                T::goes_right_or_missing(value, node.threshold) as u32
-                            } else {
-                                let missing = (value.is_nan() as u32) & (node.packed >> 31);
-                                (T::goes_right(value, node.threshold) as u32) | missing
-                            };
+                            let value = *tile.get_unchecked(node.feature as usize * ROW_TILE + $r);
+                            let right = goes_right(value, node.threshold) as u32;
                             *node.kids.get_unchecked(right as usize)
                         }};
                     }
@@ -881,26 +732,6 @@ mod tests {
         let steps = kernel.predict_proba_into(&[1.5], &mut [0.0, 0.0]);
         assert_eq!(steps, 0, "leaf-only trees take no steps");
         assert_eq!(kernel.predict_proba(&[1.5]), model.predict_proba(&[1.5]));
-    }
-
-    #[test]
-    fn quantized_kernel_votes_agree_on_training_data() {
-        let (data, model) = fixture(15, 2018);
-        let exact = ForestKernel::from_forest(&model);
-        let quant = exact.quantize();
-        assert_eq!(quant.tree_count(), exact.tree_count());
-        for i in 0..data.len() {
-            let row = data.row(i);
-            let pe = exact.predict_proba(&row);
-            let pq = quant.predict_proba(&row);
-            // Not bitwise (that's the whole point) — but the vote must
-            // agree on this corpus.
-            assert_eq!(
-                (pe[1] > 0.5) as usize,
-                (pq[1] > 0.5) as usize,
-                "vote flipped at row {i}: exact {pe:?}, quantized {pq:?}"
-            );
-        }
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod calibration;
 pub mod confidence;
 pub mod data;
 pub mod flatkernel;
-pub mod gbm;
 pub mod importance;
 pub mod metrics;
 pub mod model_selection;
@@ -47,8 +46,7 @@ pub use confidence::{
     confidence_threshold, threshold_grid, ConfidenceSplit, PartitionedPredictions,
 };
 pub use data::{Dataset, DatasetView};
-pub use flatkernel::{ForestKernel, KernelScratch, KernelStats, QuantizedKernel};
-pub use gbm::{GbmParams, GradientBoosting};
+pub use flatkernel::{ForestKernel, KernelScratch, KernelStats};
 pub use importance::{permutation_importance, ranked_permutation_importance};
 pub use metrics::{roc_auc, ClassificationScores, ConfusionMatrix};
 pub use model_selection::{

@@ -38,7 +38,7 @@ pub use artifact::{
     write_scoring, ScoreBench, ScoringTiming, SCORING_FILE, SCORING_SCHEMA,
 };
 pub use error::ModelError;
-pub use forest::flatkernel::{ForestKernel, KernelScratch, KernelStats, QuantizedKernel};
+pub use forest::flatkernel::{ForestKernel, KernelScratch, KernelStats};
 pub use format::{GridProvenance, ModelMeta, SavedModel, MODEL_FILE, MODEL_SCHEMA};
 pub use score::{
     histogram_bucket, score_batch, score_batch_recursive, score_batch_with, score_rows,

@@ -14,9 +14,9 @@
 //! `t = max(q, 1 − q)`.
 //!
 //! The pre-kernel recursive walk survives as
-//! [`score_batch_recursive`] — the frozen reference the kernel is
-//! cross-checked against bitwise (`bench::legacy` discipline): same
-//! rows, same probabilities, same bits.
+//! [`score_batch_recursive`] — the reference the kernel is
+//! cross-checked against bitwise: same rows, same probabilities, same
+//! bits.
 
 use forest::confidence::classify_confidence;
 use forest::flatkernel::{ForestKernel, KernelScratch, KernelStats, ROW_TILE};

@@ -59,7 +59,7 @@ impl ExponentialFit {
         self.log_likelihood
     }
 
-    /// Akaike information criterion (`2k − 2 ln L`, k = 1).
+    /// Akaike information criterion, `2k − 2 ln L` with k = 1.
     pub fn aic(&self) -> f64 {
         2.0 - 2.0 * self.log_likelihood
     }
@@ -185,7 +185,7 @@ impl WeibullFit {
         self.log_likelihood
     }
 
-    /// Akaike information criterion (`2k − 2 ln L`, k = 2).
+    /// Akaike information criterion, `2k − 2 ln L` with k = 2.
     pub fn aic(&self) -> f64 {
         4.0 - 2.0 * self.log_likelihood
     }

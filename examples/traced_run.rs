@@ -1,7 +1,7 @@
 //! Observability end to end: install an `obs` registry, run a small
 //! prediction experiment, and print the span tree, counter table, and
 //! structured event log the run produced — the same data the `repro`,
-//! `trainperf`, and `faultsweep` binaries persist to
+//! `faultsweep`, and `scored` binaries persist to
 //! `artifacts/run_trace.json`.
 //!
 //! ```text

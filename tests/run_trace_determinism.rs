@@ -3,16 +3,31 @@
 //! thread limits, and the full rendered trace must pass the schema
 //! validator `artifact-check` applies in CI.
 //!
-//! Everything runs inside one `#[test]` because the registry slot is
-//! process-wide: concurrent installs from parallel test threads would
+//! A second test pins that installing a registry never changes a
+//! result. The registry slot is process-wide, so both tests hold
+//! `INSTALL_LOCK`: concurrent installs from parallel test threads would
 //! cross-contaminate the snapshots being compared.
 
 use forest::parallel::{set_thread_limit, thread_limit};
+use std::sync::Mutex;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
 use telemetry::{
     reconstruct_records_lenient, Census, EventStream, FaultInjector, FaultPlan, Fleet, FleetConfig,
     RecoveryPolicy, RegionConfig,
 };
+
+static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+
+/// A small two-feature dataset with a linear class boundary.
+fn small_dataset() -> forest::Dataset {
+    let mut data = forest::Dataset::new(vec!["x0".into(), "x1".into()], 2);
+    for i in 0..150 {
+        let x0 = i as f64 / 150.0;
+        let x1 = ((i * 31) % 150) as f64 / 150.0;
+        data.push(vec![x0, x1], (x0 + 0.2 * x1 > 0.55) as usize);
+    }
+    data
+}
 
 /// One instrumented pass over every layer: fleet generation, fault
 /// injection, lenient ingest, feature extraction, the repeated
@@ -48,12 +63,7 @@ fn traced_pipeline() -> obs::Snapshot {
     // Kernel scoring pass: node-step and row-tile counts are a pure
     // function of (model, rows, tile constants), so they belong in
     // the deterministic section alongside the other counters.
-    let mut data = forest::Dataset::new(vec!["x0".into(), "x1".into()], 2);
-    for i in 0..150 {
-        let x0 = i as f64 / 150.0;
-        let x1 = ((i * 31) % 150) as f64 / 150.0;
-        data.push(vec![x0, x1], (x0 + 0.2 * x1 > 0.55) as usize);
-    }
+    let data = small_dataset();
     let params = forest::RandomForestParams {
         n_trees: 6,
         ..forest::RandomForestParams::default()
@@ -67,6 +77,7 @@ fn traced_pipeline() -> obs::Snapshot {
 
 #[test]
 fn deterministic_section_is_stable_across_runs_and_thread_counts() {
+    let _serial = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = traced_pipeline();
     assert!(
         !baseline.counters.is_empty(),
@@ -113,4 +124,52 @@ fn deterministic_section_is_stable_across_runs_and_thread_counts() {
     // the same structural validation CI applies to emitted artifacts.
     let text = obs::trace::render_run_trace("test", &baseline, thread_limit());
     obs::trace::validate_run_trace(&text).expect("rendered run trace must be schema-valid");
+}
+
+#[test]
+fn obs_probes_never_change_results() {
+    let _serial = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = small_dataset();
+    let params = forest::RandomForestParams {
+        n_trees: 8,
+        ..forest::RandomForestParams::default()
+    };
+    let run = || {
+        let accuracy = forest::cross_val_accuracy(&data, &params, 3, 17);
+        let model = forest::RandomForest::fit(&data, &params, 13);
+        let probabilities: Vec<Vec<f64>> = (0..data.len())
+            .map(|i| model.predict_proba_row(&data, i))
+            .collect();
+        (accuracy, model.oob_accuracy(), probabilities)
+    };
+
+    assert!(!obs::enabled(), "no registry may be installed yet");
+    let off = run();
+    let registry = obs::Registry::with_stderr_level(obs::Level::Error);
+    let guard = registry.install();
+    let on = run();
+    drop(guard);
+    assert!(
+        registry
+            .snapshot()
+            .counters
+            .contains_key("forest.trees_built"),
+        "the probed run recorded no training counters"
+    );
+
+    assert_eq!(
+        off.0.to_bits(),
+        on.0.to_bits(),
+        "obs probes changed cross-validation results"
+    );
+    assert_eq!(
+        off.1.map(f64::to_bits),
+        on.1.map(f64::to_bits),
+        "obs probes changed the out-of-bag estimate"
+    );
+    for (i, (a, b)) in off.2.iter().zip(&on.2).enumerate() {
+        let a: Vec<u64> = a.iter().map(|p| p.to_bits()).collect();
+        let b: Vec<u64> = b.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(a, b, "obs probes changed the prediction for row {i}");
+    }
 }
