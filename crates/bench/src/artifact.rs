@@ -16,11 +16,10 @@ use std::path::Path;
 pub type Validator = fn(&str) -> Result<(), String>;
 
 /// Every artifact family `artifact-check` knows, by schema id.
-pub const VALIDATORS: [(&str, Validator); 7] = [
+pub const VALIDATORS: [(&str, Validator); 6] = [
     (obs::trace::RUN_TRACE_SCHEMA, obs::trace::validate_run_trace),
     (serve::SCORING_SCHEMA, serve::validate_scoring),
     (survd::SERVING_SCHEMA, survd::validate_serving),
-    (survd::LATENCY_SCHEMA, survd::validate_latency),
     (survd::RESILIENCE_SCHEMA, survd::validate_resilience),
     (crate::fleet::FLEET_SCHEMA, crate::fleet::validate_fleet),
     (

@@ -1,44 +1,40 @@
-//! `loadgen` — closed-loop load generator for the scoring daemon.
+//! `loadgen` — verification run for the scoring daemon.
 //!
 //! ```text
 //! cargo run -p bench --release --bin loadgen -- [flags]
 //!
 //! flags: --requests N        total requests to issue (default 200)
-//!        --connections N     concurrent closed-loop clients (default 4)
+//!        --connections N     concurrent clients (default 4)
 //!        --rows N            feature rows per request (default 4)
 //!        --scale F           population scale for the fixture fleet (default 0.25)
 //!        --seed N            master seed (default 2018)
 //!        --model PATH        load an existing model instead of training one
 //!        --tune              when training, grid-search the hyper-parameters
 //!        --workers N         daemon worker threads (default 4)
-//!        --queue N           daemon admission-queue capacity (default 128)
-//!        --batch-rows N      daemon micro-batch row threshold (default 64)
-//!        --batch-wait-ms N   daemon micro-batch flush deadline (default 2)
-//!        --retry-429 N       retry shed (429) responses up to N times with
-//!                            seeded full-jitter backoff (default 0: off, so
-//!                            shed accounting stays exact)
 //!        --out DIR           artifact directory (default artifacts/)
 //! ```
 //!
-//! The generator spawns the daemon in-process on a loopback port,
-//! builds a deterministic request corpus from the fixture fleet's
-//! feature rows (request `i` carries corpus rows `(i*R + j) % len`),
-//! and drives it closed-loop: each connection issues its next request
-//! only after the previous response lands. Every 200 response is
-//! verified **bitwise** against offline `serve::score_rows` output —
-//! any probability mismatch, shed, or transport error fails the run
-//! with a nonzero exit. On success it writes
-//! `artifacts/serving.json` (`survdb-serving/v1`): deterministic
-//! counts + score histogram, wall-clock latency/throughput under
-//! `nondeterministic`.
+//! The generator spawns the daemon in-process on a loopback port with
+//! `ServerConfig::default()`'s queue and batch policy, builds a
+//! deterministic request corpus from the fixture fleet's feature rows
+//! (request `i` carries corpus rows `(i*R + j) % len`), and has each
+//! connection issue its next request once the previous response lands.
+//! Every 200 response is verified **bitwise** against offline
+//! `serve::score_rows` output, and the clients' positive-probability
+//! histogram must equal the daemon's drift-monitor live histogram —
+//! any mismatch, shed, or transport error fails the run with a nonzero
+//! exit. It writes `artifacts/serving.json` (`survdb-serving/v2`):
+//! counts, per-stage observation counts and drift histograms under
+//! `deterministic`; the daemon knobs and stage timings under
+//! `nondeterministic`. It keeps no stopwatch: `perfbench serve` is the
+//! open-loop latency measurement.
 
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use survd::{
-    BatchPolicy, Client, RowScore, ServerConfig, ServingCorpus, ServingCounts, ServingRunConfig,
-    ServingTiming,
+    Client, RowScore, ServerConfig, ServingCorpus, ServingCounts, ServingRun, ServingRunConfig,
 };
 
 struct Options {
@@ -50,10 +46,6 @@ struct Options {
     model: Option<PathBuf>,
     tune: bool,
     workers: usize,
-    queue: usize,
-    batch_rows: usize,
-    batch_wait_ms: u64,
-    retry_429: u32,
     out: PathBuf,
 }
 
@@ -67,10 +59,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         model: None,
         tune: false,
         workers: 4,
-        queue: 128,
-        batch_rows: 64,
-        batch_wait_ms: 2,
-        retry_429: 0,
         out: PathBuf::from("artifacts"),
     };
     let mut i = 0;
@@ -120,28 +108,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("bad --workers: {e}"))?;
                 i += 2;
             }
-            "--queue" => {
-                options.queue = value()?.parse().map_err(|e| format!("bad --queue: {e}"))?;
-                i += 2;
-            }
-            "--batch-rows" => {
-                options.batch_rows = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --batch-rows: {e}"))?;
-                i += 2;
-            }
-            "--batch-wait-ms" => {
-                options.batch_wait_ms = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --batch-wait-ms: {e}"))?;
-                i += 2;
-            }
-            "--retry-429" => {
-                options.retry_429 = value()?
-                    .parse()
-                    .map_err(|e| format!("bad --retry-429: {e}"))?;
-                i += 2;
-            }
             "--out" => {
                 options.out = PathBuf::from(value()?);
                 i += 2;
@@ -155,25 +121,14 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-/// What one closed-loop connection observed.
+/// What one client connection observed.
 #[derive(Default)]
 struct ConnectionOutcome {
     ok: u64,
     shed: u64,
     error: u64,
     mismatches: u64,
-    retries: u64,
     histogram: [u64; 10],
-    latencies_ms: Vec<f64>,
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn main() {
@@ -185,8 +140,7 @@ fn main() {
             obs::error!(
                 "loadgen",
                 "usage: loadgen [--requests N] [--connections N] [--rows N] [--scale F] \
-                 [--seed N] [--model PATH] [--tune] [--workers N] [--queue N] \
-                 [--batch-rows N] [--batch-wait-ms N] [--retry-429 N] [--out DIR]"
+                 [--seed N] [--model PATH] [--tune] [--workers N] [--out DIR]"
             );
             std::process::exit(2);
         }
@@ -250,18 +204,11 @@ fn main() {
 
     let serving_model = model.clone();
     let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
         workers: options.workers,
-        queue_capacity: options.queue,
-        batch: BatchPolicy {
-            max_rows: options.batch_rows,
-            max_wait_ms: options.batch_wait_ms,
-        },
         drift_reference: Some(drift_reference),
         ..ServerConfig::default()
     };
-    let latency_config = config.clone();
-    let handle = match survd::start(serving_model, config, Some(Arc::clone(&registry))) {
+    let handle = match survd::start(serving_model, config.clone(), Some(Arc::clone(&registry))) {
         Ok(h) => h,
         Err(e) => {
             obs::error!("loadgen", "cannot start daemon: {e}");
@@ -271,7 +218,7 @@ fn main() {
     let addr = handle.addr();
     println!(
         "[loadgen] daemon on {addr} ({} workers, queue {}, batch {} rows / {} ms)",
-        options.workers, options.queue, options.batch_rows, options.batch_wait_ms
+        config.workers, config.queue_capacity, config.batch.max_rows, config.batch.max_wait_ms
     );
     println!(
         "[loadgen] issuing {} requests x {} rows over {} connections ...",
@@ -280,7 +227,6 @@ fn main() {
 
     let corpus = Arc::new(corpus);
     let expected = Arc::new(expected);
-    let started = Instant::now();
     let mut threads = Vec::with_capacity(options.connections);
     for c in 0..options.connections {
         let corpus = Arc::clone(&corpus);
@@ -288,17 +234,10 @@ fn main() {
         let requests = options.requests;
         let connections = options.connections;
         let rows_per_request = options.rows_per_request;
-        let retry_policy = (options.retry_429 > 0).then_some(survd::RetryPolicy {
-            max_retries: options.retry_429,
-            base_delay_ms: 5,
-            max_delay_ms: 200,
-            seed: options.seed ^ c as u64,
-        });
         let thread = std::thread::Builder::new()
             .name(format!("loadgen-{c}"))
             .spawn(move || {
                 let mut outcome = ConnectionOutcome::default();
-                let mut sleeper = survd::ThreadSleeper;
                 let mut client = match Client::connect(addr, Some(Duration::from_secs(30))) {
                     Ok(client) => client,
                     Err(e) => {
@@ -314,39 +253,14 @@ fn main() {
                     let rows: Vec<Vec<f64>> =
                         indices.iter().map(|&idx| corpus[idx].clone()).collect();
                     let body = survd::render_score_request(&rows);
-                    let sent = Instant::now();
-                    // Shed responses are retried only when asked
-                    // (--retry-429); the default keeps shed accounting
-                    // exact for the determinism tests.
-                    let response = match &retry_policy {
-                        Some(policy) => {
-                            match survd::retry::score_with_retries(
-                                &mut client,
-                                &body,
-                                policy,
-                                &mut sleeper,
-                            ) {
-                                Ok(retried) => {
-                                    outcome.retries += u64::from(retried.retries);
-                                    retried.response
-                                }
-                                Err(e) => {
-                                    obs::error!("loadgen", "request {i}: {e}");
-                                    outcome.error += 1;
-                                    continue;
-                                }
-                            }
+                    let response = match client.score(&body) {
+                        Ok(r) => r,
+                        Err(e) => {
+                            obs::error!("loadgen", "request {i}: {e}");
+                            outcome.error += 1;
+                            continue;
                         }
-                        None => match client.score(&body) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                obs::error!("loadgen", "request {i}: {e}");
-                                outcome.error += 1;
-                                continue;
-                            }
-                        },
                     };
-                    let latency_ms = sent.elapsed().as_secs_f64() * 1000.0;
                     match response.status {
                         200 => {
                             let text = match response.text() {
@@ -360,7 +274,6 @@ fn main() {
                             match survd::parse_score_response(text) {
                                 Ok(parsed) => {
                                     outcome.ok += 1;
-                                    outcome.latencies_ms.push(latency_ms);
                                     let want: Vec<RowScore> =
                                         indices.iter().map(|&idx| expected[idx].clone()).collect();
                                     // Bitwise: f64 == via shortest-roundtrip JSON.
@@ -402,25 +315,20 @@ fn main() {
         responses_shed: 0,
         responses_error: 0,
         rows_scored: 0,
-        score_histogram: [0; 10],
     };
     let mut mismatches = 0u64;
-    let mut retries_429 = 0u64;
-    let mut latencies: Vec<f64> = Vec::with_capacity(options.requests);
+    let mut histogram = [0u64; 10];
     for thread in threads {
         let outcome = thread.join().expect("loadgen connection panicked");
         counts.responses_ok += outcome.ok;
         counts.responses_shed += outcome.shed;
         counts.responses_error += outcome.error;
         mismatches += outcome.mismatches;
-        retries_429 += outcome.retries;
-        for (total, bucket) in counts.score_histogram.iter_mut().zip(outcome.histogram) {
+        for (total, bucket) in histogram.iter_mut().zip(outcome.histogram) {
             *total += bucket;
         }
-        latencies.extend(outcome.latencies_ms);
     }
-    let elapsed = started.elapsed().as_secs_f64();
-    counts.rows_scored = counts.score_histogram.iter().sum();
+    counts.rows_scored = histogram.iter().sum();
 
     let drift_monitor = handle.drift_monitor();
     let stats = handle.shutdown();
@@ -429,102 +337,34 @@ fn main() {
         stats.score_ok, stats.score_shed, stats.rows_scored, stats.batches, stats.queue_peak
     );
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let mean = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
-    let timing = ServingTiming {
-        elapsed_ms: elapsed * 1000.0,
-        requests_per_second: if elapsed > 0.0 {
-            counts.responses_ok as f64 / elapsed
-        } else {
-            0.0
-        },
-        rows_per_second: if elapsed > 0.0 {
-            counts.rows_scored as f64 / elapsed
-        } else {
-            0.0
-        },
-        retries_429,
-        latency_p50_ms: percentile(&latencies, 0.50),
-        latency_p95_ms: percentile(&latencies, 0.95),
-        latency_p99_ms: percentile(&latencies, 0.99),
-        latency_max_ms: latencies.last().copied().unwrap_or(0.0),
-        latency_mean_ms: mean,
-    };
-
     // Lifecycle observability: the per-stage sketches the daemon fed
-    // through the shared registry, the drift monitor's final
-    // histograms, and the client-side latency percentiles.
-    let stage_sketches = survd::stage_sketches(&registry.snapshot());
-    let drift = drift_monitor
-        .expect("loadgen always seeds a drift reference")
-        .snapshot();
-    let latency_run = survd::LatencyRun {
-        connections: options.connections as u64,
-        rows_per_request: options.rows_per_request as u64,
-        requests_sent: counts.requests_sent,
-        responses_ok: counts.responses_ok,
-        rows_scored: counts.rows_scored,
+    // through the shared registry and the drift monitor's histograms.
+    let run = ServingRun {
+        config: ServingRunConfig {
+            connections: options.connections,
+            requests: options.requests,
+            rows_per_request: options.rows_per_request,
+        },
+        corpus: ServingCorpus {
+            rows: corpus.len(),
+            seed: options.seed,
+        },
+        model: &model,
+        counts,
+        stages: survd::stage_sketches(&registry.snapshot()),
+        drift: drift_monitor
+            .expect("loadgen always seeds a drift reference")
+            .snapshot(),
     };
-    let client_latency = survd::ClientLatency {
-        p50: timing.latency_p50_ms,
-        p95: timing.latency_p95_ms,
-        p99: timing.latency_p99_ms,
-        max: timing.latency_max_ms,
-        mean: timing.latency_mean_ms,
-    };
-
-    println!();
-    print!("{}", survdb::report::serving_block(&counts, &timing));
     println!();
     print!(
         "{}",
-        survdb::report::latency_block(&latency_run, &stage_sketches, &drift)
+        survdb::report::serving_block(&run.counts, &run.stages, &run.drift)
     );
-
-    let run_config = ServingRunConfig {
-        connections: options.connections,
-        requests: options.requests,
-        rows_per_request: options.rows_per_request,
-        workers: options.workers,
-        queue_capacity: options.queue,
-        batch_max_rows: options.batch_rows,
-        batch_max_wait_ms: options.batch_wait_ms,
-    };
-    let corpus_info = ServingCorpus {
-        rows: corpus.len(),
-        seed: options.seed,
-    };
-    match survd::write_serving(
-        &options.out,
-        "loadgen",
-        &run_config,
-        &corpus_info,
-        &model,
-        &counts,
-        &timing,
-    ) {
+    match survd::write_serving(&options.out, "loadgen", &config, &run) {
         Ok(path) => println!("\n[loadgen] wrote {}", path.display()),
         Err(e) => {
             obs::error!("loadgen", "cannot write serving artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-    match survd::write_latency(
-        &options.out,
-        "loadgen",
-        &latency_config,
-        &latency_run,
-        &stage_sketches,
-        &drift,
-        &client_latency,
-    ) {
-        Ok(path) => println!("[loadgen] wrote {}", path.display()),
-        Err(e) => {
-            obs::error!("loadgen", "cannot write latency artifact: {e}");
             std::process::exit(1);
         }
     }
@@ -556,6 +396,14 @@ fn main() {
             "daemon counted {} ok responses, clients saw {}",
             stats.score_ok,
             counts.responses_ok
+        );
+        failed = true;
+    }
+    if run.drift.live != histogram {
+        obs::error!(
+            "loadgen",
+            "daemon drift histogram {:?} != client histogram {histogram:?}",
+            run.drift.live
         );
         failed = true;
     }

@@ -17,22 +17,17 @@
 //! model to `OUT/model.json`, reloads it from disk, and scores with the
 //! **loaded** copy — `bench::model_source` asserts that the loaded
 //! forest reproduces the in-memory predictions bitwise and that
-//! save→load→save is byte-identical. The deterministic section of
-//! `scoring.json` is byte-stable across thread counts; throughput
-//! lives in the nondeterministic section.
+//! save→load→save is byte-identical. Every row is then held to
+//! bitwise parity across the recursive, branchless, and blocked
+//! scoring paths. The deterministic section of `scoring.json` is
+//! byte-stable across thread counts; the wall time of the one blocked
+//! pass lives in the nondeterministic section. `perfbench score` is
+//! the kernel throughput measurement of record.
 
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
-use serve::{score_batch_recursive, score_batch_with, ScoreBench, ScoringTiming};
+use serve::{score_batch_recursive, score_batch_with, ScoringTiming};
 use std::path::PathBuf;
 use std::time::Instant;
-
-fn rate(rows: usize, secs: f64) -> f64 {
-    if secs > 0.0 {
-        rows as f64 / secs
-    } else {
-        0.0
-    }
-}
 
 struct Options {
     scale: f64,
@@ -133,7 +128,9 @@ fn main() {
 
     // Blocked kernel — the default scoring path and the artifact's
     // headline result.
+    let started = Instant::now();
     let batch = score_batch_with(&kernel, &data, q);
+    let elapsed = started.elapsed().as_secs_f64();
     let summary = batch.summary();
 
     // Recursive reference — the bitwise parity gate: any divergence
@@ -178,63 +175,14 @@ fn main() {
     println!();
     print!("{}", survdb::report::scoring_block(&summary));
 
-    // Timing: per-path back-to-back best-of-N (consecutive
-    // iterations, minimum kept — the steady-state discipline Criterion
-    // uses). Each path is measured against its own warm cache: the
-    // blocked kernel's claim *is* cache residency, so interleaving it
-    // with the recursive walk's evictions would measure the
-    // interleaving, not the paths. The parity-checked calls above
-    // double as warmup, and results are deterministic (verified
-    // bitwise once above), so the timing loops only keep the clock
-    // readings.
-    // Round counts scale inversely with per-round cost: the kernel
-    // paths are milliseconds per round, so they take enough rounds
-    // that one scheduler hiccup cannot poison the minimum.
-    const FAST_ROUNDS: usize = 16;
-    const RECURSIVE_ROUNDS: usize = 4;
-    let mut elapsed = f64::INFINITY;
-    let mut recursive_elapsed = f64::INFINITY;
-    let mut branchless_elapsed = f64::INFINITY;
-    for _ in 0..FAST_ROUNDS {
-        let started = Instant::now();
-        let timed = score_batch_with(&kernel, &data, q);
-        elapsed = elapsed.min(started.elapsed().as_secs_f64());
-        assert_eq!(timed.rows.len(), batch.rows.len());
-    }
-    for _ in 0..FAST_ROUNDS {
-        let started = Instant::now();
-        for (i, row) in rows.iter().enumerate() {
-            kernel.predict_proba_into(row, &mut branchless_probs[i * cc..(i + 1) * cc]);
-        }
-        branchless_elapsed = branchless_elapsed.min(started.elapsed().as_secs_f64());
-    }
-    for _ in 0..RECURSIVE_ROUNDS {
-        let started = Instant::now();
-        let timed = score_batch_recursive(&model.forest, &data, q);
-        recursive_elapsed = recursive_elapsed.min(started.elapsed().as_secs_f64());
-        assert_eq!(timed.rows.len(), batch.rows.len());
-    }
-
-    let scorebench = ScoreBench {
-        rows: summary.rows,
-        recursive_rows_per_second: rate(summary.rows, recursive_elapsed),
-        branchless_rows_per_second: rate(summary.rows, branchless_elapsed),
-        blocked_rows_per_second: rate(summary.rows, elapsed),
-    };
-    println!(
-        "\n[scored] scorebench: recursive {:.0} rows/s, branchless {:.0} rows/s ({:.2}x), blocked {:.0} rows/s ({:.2}x)",
-        scorebench.recursive_rows_per_second,
-        scorebench.branchless_rows_per_second,
-        scorebench.branchless_speedup(),
-        scorebench.blocked_rows_per_second,
-        scorebench.blocked_speedup(),
-    );
-
     let timing = ScoringTiming {
         thread_limit: forest::parallel::thread_limit(),
         elapsed_ms: elapsed * 1000.0,
-        rows_per_second: rate(summary.rows, elapsed),
-        scorebench,
+        rows_per_second: if elapsed > 0.0 {
+            summary.rows as f64 / elapsed
+        } else {
+            0.0
+        },
     };
     match serve::write_scoring(&options.out, "scored", &model, &summary, &timing) {
         Ok(path) => println!("\n[scored] wrote {}", path.display()),

@@ -23,7 +23,9 @@
 //! that `GET /metrics` renders, and serves until stdin closes or a
 //! line is entered — the container-friendly SIGTERM equivalent — then
 //! drains gracefully: every admitted request is scored and answered
-//! before the process exits.
+//! before the process exits. At drain it prints the outcome counts,
+//! per-stage sketches and drift histograms (the same ones `/metrics`
+//! serves live) and writes `OUT/run_trace.json`.
 
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
 use std::io::BufRead;
@@ -199,7 +201,6 @@ fn main() {
         drift_reference: Some(drift_reference),
         ..ServerConfig::default()
     };
-    let latency_config = config.clone();
     let handle = match survd::start(model, config, Some(Arc::clone(&registry))) {
         Ok(h) => h,
         Err(e) => {
@@ -236,41 +237,26 @@ fn main() {
         stats.queue_peak
     );
 
-    // Self-reported latency artifact: only meaningful when at least
-    // one request was scored (the validator refuses a zero-request
-    // run). rows_per_request is 0 — request shapes vary over a
-    // daemon's lifetime, so the rows identity is disabled.
     let requests_sent =
         stats.score_ok + stats.score_shed + stats.score_degraded + stats.score_unavailable;
-    if stats.score_ok > 0 {
-        let stage_sketches = survd::stage_sketches(&registry.snapshot());
-        let drift = drift_monitor
-            .expect("survd always seeds a drift reference")
-            .snapshot();
-        let latency_run = survd::LatencyRun {
-            connections: stats.connections.max(1),
-            rows_per_request: 0,
-            requests_sent,
-            responses_ok: stats.score_ok,
-            rows_scored: stats.rows_scored,
-        };
-        println!();
-        print!(
-            "{}",
-            survdb::report::latency_block(&latency_run, &stage_sketches, &drift)
-        );
-        match survd::write_latency(
-            &options.out,
-            "survd",
-            &latency_config,
-            &latency_run,
-            &stage_sketches,
-            &drift,
-            &survd::ClientLatency::zero(),
-        ) {
-            Ok(path) => println!("[survd] wrote {}", path.display()),
-            Err(e) => obs::error!("survd", "cannot write latency artifact: {e}"),
-        }
-    }
+    let counts = survd::ServingCounts {
+        requests_sent,
+        responses_ok: stats.score_ok,
+        responses_shed: stats.score_shed,
+        responses_error: stats.score_degraded + stats.score_unavailable,
+        rows_scored: stats.rows_scored,
+    };
+    let drift = drift_monitor
+        .expect("survd always seeds a drift reference")
+        .snapshot();
+    println!();
+    print!(
+        "{}",
+        survdb::report::serving_block(
+            &counts,
+            &survd::stage_sketches(&registry.snapshot()),
+            &drift
+        )
+    );
     bench::finish_trace(&registry, "survd", &options.out);
 }

@@ -49,7 +49,7 @@
 use features::{feature_schema, FeatureConfig, FeatureExtractor};
 use forest::Dataset;
 use obs::artifact::{
-    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    checked_sum, envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
     validate_envelope, write_artifact,
 };
 use obs::jsonv::JsonV;
@@ -482,7 +482,7 @@ fn counting_identity(value: &JsonV, what: &str) -> Result<[u64; 4], String> {
             &format!("{what}.{key}"),
         )?;
     }
-    if counts[0] != counts[1] + counts[2] + counts[3] {
+    if counts[0] != checked_sum(counts[1..].iter().copied(), what)? {
         return Err(format!(
             "{what}: generated {} != recovered {} + quarantined {} + vanished {}",
             counts[0], counts[1], counts[2], counts[3]
@@ -574,7 +574,7 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
                 "{what}: positive_rows {positive} exceeds dataset_rows {rows}"
             ));
         }
-        rows_sum += rows;
+        rows_sum = checked_sum([rows_sum, rows], "dataset_rows")?;
         fingerprint_sum = fingerprint_sum
             .wrapping_add(expect_uint(field(region, "dataset_fingerprint")?, &what)?);
         region_counts.push((label, subscriptions, counts, rows));
@@ -596,7 +596,7 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
     )?;
     let total_counts = counting_identity(totals, "totals")?;
     for (k, key) in COUNT_KEYS.iter().enumerate() {
-        let regions_sum: u64 = region_counts.iter().map(|(_, _, c, _)| c[k]).sum();
+        let regions_sum = checked_sum(region_counts.iter().map(|(_, _, c, _)| c[k]), key)?;
         if regions_sum != total_counts[k] {
             return Err(format!(
                 "totals.{key} {} != sum over regions {regions_sum}",
@@ -684,11 +684,16 @@ pub fn validate_fleet(text: &str) -> Result<(), String> {
             ));
         }
         let counts = counting_identity(shard, &what)?;
-        per_region_sums[slot].0 += expect_uint(field(shard, "subscriptions")?, &what)?;
-        for (sum, v) in per_region_sums[slot].1.iter_mut().zip(counts) {
-            *sum += v;
+        let add = |sum: &mut u64, v: u64| -> Result<(), String> {
+            *sum = checked_sum([*sum, v], &what)?;
+            Ok(())
+        };
+        let (sub_sum, count_sums, row_sum) = &mut per_region_sums[slot];
+        add(sub_sum, expect_uint(field(shard, "subscriptions")?, &what)?)?;
+        for (sum, v) in count_sums.iter_mut().zip(counts) {
+            add(sum, v)?;
         }
-        per_region_sums[slot].2 += expect_uint(field(shard, "rows")?, &what)?;
+        add(row_sum, expect_uint(field(shard, "rows")?, &what)?)?;
     }
     for ((label, subscriptions, counts, rows), (sub_sum, count_sums, row_sum)) in
         region_counts.iter().zip(per_region_sums)
@@ -776,6 +781,14 @@ mod tests {
         let generated = format!("\"generated\": {}", report.regions[0].generated);
         let broken = format!("\"generated\": {}", report.regions[0].generated + 1);
         assert!(validate_fleet(&good.replacen(&generated, &broken, 1)).is_err());
+        // Counts whose sum wraps around to the declared total: with no
+        // faults the first region has quarantined = vanished = 0.
+        let huge = format!("{}", 1u64 << 63);
+        let wrapped = good
+            .replacen("\"quarantined\": 0", &format!("\"quarantined\": {huge}"), 1)
+            .replacen("\"vanished\": 0", &format!("\"vanished\": {huge}"), 1);
+        let err = validate_fleet(&wrapped).expect_err("counts overflow");
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 use crate::fleet::peak_rss_kb;
 use features::{FeatureConfig, FeatureExtractor};
 use obs::artifact::{
-    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_str, expect_uint,
-    validate_envelope, write_artifact,
+    checked_sum, envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_str,
+    expect_uint, validate_envelope, write_artifact,
 };
 use obs::jsonv::JsonV;
 use policy::{
@@ -450,10 +450,10 @@ fn validate_summary(value: &JsonV, what: &str) -> Result<SummaryFacts, String> {
     for (i, (label, v)) in actions.iter().enumerate() {
         action_counts[i] = expect_uint(v, label)?;
     }
-    if action_counts.iter().sum::<u64>() != rows {
+    let action_sum = checked_sum(action_counts, what)?;
+    if action_sum != rows {
         return Err(format!(
-            "{what}: per-action counts sum to {} but rows is {rows}",
-            action_counts.iter().sum::<u64>()
+            "{what}: per-action counts sum to {action_sum} but rows is {rows}"
         ));
     }
 
@@ -466,8 +466,9 @@ fn validate_summary(value: &JsonV, what: &str) -> Result<SummaryFacts, String> {
         expect_keys(entry_fields, &table_keys, "table entry")?;
         expect_str(field(entry_fields, "region", "table entry")?, "region")?;
         expect_str(field(entry_fields, "edition", "table entry")?, "edition")?;
-        for (i, label) in action_labels().iter().enumerate() {
-            column_sums[i] += expect_uint(field(entry_fields, label, "table entry")?, label)?;
+        for (sum, label) in column_sums.iter_mut().zip(action_labels()) {
+            let v = expect_uint(field(entry_fields, label, "table entry")?, label)?;
+            *sum = checked_sum([*sum, v], "table")?;
         }
     }
     if column_sums != action_counts {
@@ -900,5 +901,43 @@ mod tests {
         // Wrong schema.
         assert!(validate_policy(&text.replace(POLICY_SCHEMA, "survdb-policy/v0")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_counts_that_overflow_are_refused() {
+        // Each sum below wraps around to exactly the declared total.
+        let huge = 1u64 << 63;
+        let summary = |actions: [u64; 4], table: Vec<[u64; 4]>| {
+            let counts = |values: [u64; 4]| {
+                action_labels()
+                    .into_iter()
+                    .zip(values)
+                    .map(|(label, v)| (label, JsonV::UInt(v)))
+                    .collect::<Vec<_>>()
+            };
+            let entry = |values: [u64; 4]| {
+                let mut fields = vec![
+                    ("region", JsonV::Str("r".into())),
+                    ("edition", JsonV::Str("e".into())),
+                ];
+                fields.extend(counts(values));
+                JsonV::obj(fields)
+            };
+            JsonV::obj(vec![
+                ("rows", JsonV::UInt(5)),
+                ("actions", JsonV::obj(counts(actions))),
+                ("table", JsonV::Arr(table.into_iter().map(entry).collect())),
+                ("costs", JsonV::obj(vec![])),
+            ])
+        };
+        let Err(err) = validate_summary(&summary([huge, huge, 5, 0], vec![]), "summary") else {
+            panic!("action counts overflow");
+        };
+        assert!(err.contains("overflows"), "{err}");
+        let table = vec![[huge, 0, 0, 0], [huge + 5, 0, 0, 0]];
+        let Err(err) = validate_summary(&summary([5, 0, 0, 0], table), "summary") else {
+            panic!("table columns overflow");
+        };
+        assert!(err.contains("overflows"), "{err}");
     }
 }

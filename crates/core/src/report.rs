@@ -179,10 +179,15 @@ pub fn scoring_block(s: &serve::ScoreSummary) -> String {
     out
 }
 
-/// Plain-text block for a closed-loop serving run (`loadgen` binary):
-/// outcome counts, throughput/latency, and the positive-probability
-/// spectrum over every scored row.
-pub fn serving_block(counts: &survd::ServingCounts, timing: &survd::ServingTiming) -> String {
+/// Plain-text block for a serving run (`loadgen`, or `survd` at
+/// drain): outcome counts, per-stage observation counts and sketch
+/// quantiles, and the drift monitor's reference-vs-live
+/// positive-probability histograms with the TV divergence.
+pub fn serving_block(
+    counts: &survd::ServingCounts,
+    stages: &[obs::Sketch; survd::STAGE_COUNT],
+    drift: &obs::DriftSnapshot,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "--- served {} requests: {} ok / {} shed / {} error ({} rows scored)\n",
@@ -191,50 +196,6 @@ pub fn serving_block(counts: &survd::ServingCounts, timing: &survd::ServingTimin
         counts.responses_shed,
         counts.responses_error,
         counts.rows_scored
-    ));
-    out.push_str(&format!(
-        "  throughput  {:.0} req/s   {:.0} rows/s   ({:.1} ms elapsed)\n",
-        timing.requests_per_second, timing.rows_per_second, timing.elapsed_ms
-    ));
-    out.push_str(&format!(
-        "  latency ms  p50 {:.2}   p95 {:.2}   p99 {:.2}   max {:.2}   mean {:.2}\n",
-        timing.latency_p50_ms,
-        timing.latency_p95_ms,
-        timing.latency_p99_ms,
-        timing.latency_max_ms,
-        timing.latency_mean_ms
-    ));
-    let peak = counts
-        .score_histogram
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    for (b, &count) in counts.score_histogram.iter().enumerate() {
-        let close = if b == 9 { ']' } else { ')' };
-        let bar = "#".repeat((count * 40 / peak) as usize);
-        out.push_str(&format!(
-            "  p+ [{:.1}, {:.1}{close} {count:>7}  {bar}\n",
-            b as f64 / 10.0,
-            (b + 1) as f64 / 10.0,
-        ));
-    }
-    out
-}
-
-/// Plain-text block for the serving-latency breakdown: per-stage
-/// observation counts and sketch quantiles, and the drift monitor's
-/// reference-vs-live calibration histograms with the TV divergence.
-pub fn latency_block(
-    run: &survd::LatencyRun,
-    stages: &[obs::Sketch; survd::STAGE_COUNT],
-    drift: &obs::DriftSnapshot,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "--- lifecycle: {} requests, {} ok, {} rows scored\n",
-        run.requests_sent, run.responses_ok, run.rows_scored
     ));
     for (name, sketch) in survd::STAGE_NAMES.iter().zip(stages.iter()) {
         out.push_str(&format!(
@@ -374,36 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_block_renders_stages_and_drift() {
-        let run = survd::LatencyRun {
-            connections: 2,
-            rows_per_request: 4,
-            requests_sent: 8,
-            responses_ok: 8,
-            rows_scored: 32,
-        };
-        let mut stages: [obs::Sketch; survd::STAGE_COUNT] = Default::default();
-        for stage in stages.iter_mut() {
-            stage.observe_n(1.5, 8);
-        }
-        stages[2].observe_n(0.1, 24);
-        let drift = obs::DriftSnapshot {
-            reference: [4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
-            live: [0, 0, 16, 0, 0, 0, 0, 16, 0, 0],
-        };
-        let block = latency_block(&run, &stages, &drift);
-        assert!(
-            block.contains("8 requests, 8 ok, 32 rows scored"),
-            "{block}"
-        );
-        assert!(block.contains("queue_wait"), "{block}");
-        assert!(block.contains("score"), "{block}");
-        assert!(block.contains("divergence"), "{block}");
-        assert!(block.contains("p+ [0.0, 0.1)"), "{block}");
-        assert!(block.contains("p+ [0.9, 1.0]"), "{block}");
-    }
-
-    #[test]
     fn chart_renders_monotone_curve() {
         let pts: Vec<(f64, f64)> = (0..20)
             .map(|i| (i as f64 * 5.0, 1.0 - i as f64 * 0.04))
@@ -450,36 +381,56 @@ mod tests {
         assert!(block.contains(&"#".repeat(40)), "{block}");
     }
 
-    #[test]
-    fn serving_block_renders_counts_and_latency() {
+    /// A consistent serving run: 10 requests, 8 ok × 4 rows.
+    fn serving_sample() -> (
+        survd::ServingCounts,
+        [obs::Sketch; survd::STAGE_COUNT],
+        obs::DriftSnapshot,
+    ) {
         let counts = survd::ServingCounts {
-            requests_sent: 200,
-            responses_ok: 198,
+            requests_sent: 10,
+            responses_ok: 8,
             responses_shed: 2,
             responses_error: 0,
-            rows_scored: 792,
-            score_histogram: [99, 99, 79, 79, 40, 40, 79, 79, 99, 99],
+            rows_scored: 32,
         };
-        let timing = survd::ServingTiming {
-            elapsed_ms: 125.0,
-            requests_per_second: 1584.0,
-            rows_per_second: 6336.0,
-            retries_429: 0,
-            latency_p50_ms: 1.25,
-            latency_p95_ms: 3.5,
-            latency_p99_ms: 4.75,
-            latency_max_ms: 9.0,
-            latency_mean_ms: 1.5,
+        let mut stages: [obs::Sketch; survd::STAGE_COUNT] = Default::default();
+        for stage in stages.iter_mut() {
+            stage.observe_n(1.5, 8);
+        }
+        stages[2].observe_n(0.1, 24);
+        let drift = obs::DriftSnapshot {
+            reference: [4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+            live: [0, 0, 16, 0, 0, 0, 0, 16, 0, 0],
         };
-        let block = serving_block(&counts, &timing);
+        (counts, stages, drift)
+    }
+
+    #[test]
+    fn serving_block_renders_counts_and_latency() {
+        let (counts, stages, drift) = serving_sample();
+        let block = serving_block(&counts, &stages, &drift);
         assert!(
-            block.contains("served 200 requests: 198 ok / 2 shed / 0 error"),
+            block.contains("served 10 requests: 8 ok / 2 shed / 0 error (32 rows scored)"),
             "{block}"
         );
-        assert!(block.contains("792 rows scored"), "{block}");
-        assert!(block.contains("p50 1.25"), "{block}");
+        assert!(block.contains("p50"), "{block}");
+        // The fullest bucket gets the longest bar.
+        assert!(block.contains(&"#".repeat(20)), "{block}");
+    }
+
+    #[test]
+    fn latency_block_renders_stages_and_drift() {
+        let (counts, stages, drift) = serving_sample();
+        let block = serving_block(&counts, &stages, &drift);
+        for name in survd::STAGE_NAMES {
+            assert!(block.contains(&format!("  {name:<12}")), "{name}: {block}");
+        }
+        assert!(block.contains("       32 obs"), "{block}");
+        assert!(block.contains("32 scored vs 40 reference"), "{block}");
+        assert!(block.contains("divergence"), "{block}");
+        assert!(block.contains("p+ [0.0, 0.1)"), "{block}");
         assert!(block.contains("p+ [0.9, 1.0]"), "{block}");
-        assert!(block.contains(&"#".repeat(40)), "{block}");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! [`validate_envelope`] and check their sections with the helpers
 //! below, which enforce exact key order, so a writer and its validator
 //! can never drift apart on the envelope. `obs` is the bottom crate,
-//! so the run trace, the serving, scoring, latency and resilience
-//! artifacts, and the bench artifacts all share this one copy.
+//! so the run trace, the serving, scoring and resilience artifacts,
+//! and the bench artifacts all share this one copy.
 
 #![cfg_attr(
     not(test),
@@ -143,6 +143,16 @@ pub fn expect_str<'a>(value: &'a JsonV, what: &str) -> Result<&'a str, String> {
     }
 }
 
+/// Sums counts read from an artifact. Counts on disk are untrusted, so
+/// a total past `u64::MAX` is a typed error rather than a wrap that
+/// could make a broken counting identity look satisfied.
+pub fn checked_sum(values: impl IntoIterator<Item = u64>, what: &str) -> Result<u64, String> {
+    values
+        .into_iter()
+        .try_fold(0u64, u64::checked_add)
+        .ok_or_else(|| format!("{what} overflows u64"))
+}
+
 /// Requires an array value; returns its items.
 pub fn expect_arr<'a>(value: &'a JsonV, what: &str) -> Result<&'a [JsonV], String> {
     match value {
@@ -203,6 +213,8 @@ mod tests {
         assert!(expect_str(&JsonV::Str(String::new()), "x").is_err());
         assert!(expect_arr(&JsonV::Null, "x").is_err());
         assert!(expect_obj(&JsonV::Arr(vec![]), "x").is_err());
+        assert_eq!(checked_sum([1, 2, 3], "x"), Ok(6));
+        assert!(checked_sum([u64::MAX, 1], "x").is_err());
         assert!(expect_keys(
             &[
                 ("a".to_string(), JsonV::Null),

@@ -1,11 +1,11 @@
 //! The scoring artifact: `artifacts/scoring.json`.
 //!
-//! Layout (schema `survdb-scoring/v1`), mirroring the run-trace
+//! Layout (schema `survdb-scoring/v2`), mirroring the run-trace
 //! two-section convention:
 //!
 //! ```text
 //! {
-//!   "schema": "survdb-scoring/v1",
+//!   "schema": "survdb-scoring/v2",
 //!   "binary": "<emitting binary>",
 //!   "deterministic": {           // byte-identical across runs & thread counts
 //!     "model": { "tree_count", "feature_count", "class_count",
@@ -19,15 +19,7 @@
 //!   "nondeterministic": {        // wall-clock throughput
 //!     "thread_limit": u64,
 //!     "elapsed_ms": f64,
-//!     "rows_per_second": f64,
-//!     "scorebench": {             // recursive vs kernel comparison
-//!       "rows": u64,
-//!       "recursive_rows_per_second":  f64,
-//!       "branchless_rows_per_second": f64,
-//!       "blocked_rows_per_second":    f64,
-//!       "branchless_speedup": f64,
-//!       "blocked_speedup":    f64
-//!     }
+//!     "rows_per_second": f64
 //!   }
 //! }
 //! ```
@@ -42,7 +34,7 @@
 use crate::format::SavedModel;
 use crate::score::ScoreSummary;
 use obs::artifact::{
-    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    checked_sum, envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
     validate_envelope, write_artifact,
 };
 use obs::jsonv::{self, JsonV};
@@ -50,7 +42,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier for `scoring.json`.
-pub const SCORING_SCHEMA: &str = "survdb-scoring/v1";
+pub const SCORING_SCHEMA: &str = "survdb-scoring/v2";
 
 /// File name the artifact is written under.
 pub const SCORING_FILE: &str = "scoring.json";
@@ -65,49 +57,6 @@ pub struct ScoringTiming {
     pub elapsed_ms: f64,
     /// Scored rows per second (0 for an instantaneous/empty batch).
     pub rows_per_second: f64,
-    /// Recursive-vs-kernel throughput comparison on the same corpus.
-    pub scorebench: ScoreBench,
-}
-
-/// Throughput of each scoring implementation on one corpus — the
-/// `scorebench` object inside the nondeterministic section. All three
-/// paths score the identical rows; the recursive and branchless paths
-/// must agree bitwise with the blocked path before timings are
-/// recorded (the `scored` binary exits nonzero on mismatch).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreBench {
-    /// Rows in the timed corpus.
-    pub rows: usize,
-    /// Recursive pointer-chasing baseline (`score_batch_recursive`).
-    pub recursive_rows_per_second: f64,
-    /// Branchless kernel, one row at a time (`predict_proba_into`).
-    pub branchless_rows_per_second: f64,
-    /// Cache-blocked kernel, the default path (`score_batch_with`).
-    pub blocked_rows_per_second: f64,
-}
-
-impl ScoreBench {
-    /// Branchless-over-recursive throughput ratio (0 when the
-    /// baseline measured 0 rows/sec).
-    pub fn branchless_speedup(&self) -> f64 {
-        speedup(
-            self.branchless_rows_per_second,
-            self.recursive_rows_per_second,
-        )
-    }
-
-    /// Blocked-over-recursive throughput ratio.
-    pub fn blocked_speedup(&self) -> f64 {
-        speedup(self.blocked_rows_per_second, self.recursive_rows_per_second)
-    }
-}
-
-fn speedup(fast: f64, baseline: f64) -> f64 {
-    if baseline > 0.0 {
-        fast / baseline
-    } else {
-        0.0
-    }
 }
 
 fn deterministic_json(model: &SavedModel, summary: &ScoreSummary) -> JsonV {
@@ -188,32 +137,6 @@ pub fn render_scoring(
             ("thread_limit", JsonV::UInt(timing.thread_limit as u64)),
             ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
             ("rows_per_second", JsonV::Float(timing.rows_per_second)),
-            (
-                "scorebench",
-                JsonV::obj(vec![
-                    ("rows", JsonV::UInt(timing.scorebench.rows as u64)),
-                    (
-                        "recursive_rows_per_second",
-                        JsonV::Float(timing.scorebench.recursive_rows_per_second),
-                    ),
-                    (
-                        "branchless_rows_per_second",
-                        JsonV::Float(timing.scorebench.branchless_rows_per_second),
-                    ),
-                    (
-                        "blocked_rows_per_second",
-                        JsonV::Float(timing.scorebench.blocked_rows_per_second),
-                    ),
-                    (
-                        "branchless_speedup",
-                        JsonV::Float(timing.scorebench.branchless_speedup()),
-                    ),
-                    (
-                        "blocked_speedup",
-                        JsonV::Float(timing.scorebench.blocked_speedup()),
-                    ),
-                ]),
-            ),
         ]),
     )
     .render()
@@ -304,13 +227,15 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
     let get_count = |key: &str| expect_uint(field(counts, key)?, key);
     let rows = get_count("rows")?;
     let confident = get_count("confident")?;
-    if confident + get_count("uncertain")? != rows {
+    let pair_sum =
+        |a: &str, b: &str| checked_sum([get_count(a)?, get_count(b)?], &format!("{a} + {b}"));
+    if pair_sum("confident", "uncertain")? != rows {
         return Err("confident + uncertain must equal rows".to_string());
     }
-    if get_count("predicted_positive")? + get_count("predicted_negative")? != rows {
+    if pair_sum("predicted_positive", "predicted_negative")? != rows {
         return Err("predicted_positive + predicted_negative must equal rows".to_string());
     }
-    if get_count("confident_positive")? + get_count("confident_negative")? != confident {
+    if pair_sum("confident_positive", "confident_negative")? != confident {
         return Err("confident_positive + confident_negative must equal confident".to_string());
     }
 
@@ -332,10 +257,12 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
             histogram.len()
         ));
     }
-    let mut total = 0u64;
-    for (i, bucket) in histogram.iter().enumerate() {
-        total += expect_uint(bucket, &format!("probability_histogram[{i}]"))?;
-    }
+    let buckets = histogram
+        .iter()
+        .enumerate()
+        .map(|(i, bucket)| expect_uint(bucket, &format!("probability_histogram[{i}]")))
+        .collect::<Result<Vec<u64>, String>>()?;
+    let total = checked_sum(buckets, "probability_histogram")?;
     if total != rows {
         return Err(format!(
             "probability_histogram sums to {total}, counts.rows is {rows}"
@@ -346,12 +273,7 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
     let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
         nondet_fields,
-        &[
-            "thread_limit",
-            "elapsed_ms",
-            "rows_per_second",
-            "scorebench",
-        ],
+        &["thread_limit", "elapsed_ms", "rows_per_second"],
         "nondeterministic",
     )?;
     expect_uint(field(nondet, "thread_limit")?, "thread_limit")?;
@@ -361,33 +283,6 @@ pub fn validate_scoring(text: &str) -> Result<(), String> {
         }
     }
 
-    let bench = field(nondet, "scorebench")?;
-    let bench_fields = expect_obj(bench, "scorebench")?;
-    expect_keys(
-        bench_fields,
-        &[
-            "rows",
-            "recursive_rows_per_second",
-            "branchless_rows_per_second",
-            "blocked_rows_per_second",
-            "branchless_speedup",
-            "blocked_speedup",
-        ],
-        "scorebench",
-    )?;
-    expect_uint(field(bench, "rows")?, "scorebench.rows")?;
-    for key in [
-        "recursive_rows_per_second",
-        "branchless_rows_per_second",
-        "blocked_rows_per_second",
-        "branchless_speedup",
-        "blocked_speedup",
-    ] {
-        let v = expect_float(field(bench, key)?, key)?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("scorebench.{key} {v} must be finite and >= 0"));
-        }
-    }
     Ok(())
 }
 
@@ -449,12 +344,6 @@ mod tests {
             thread_limit: 4,
             elapsed_ms: 1.25,
             rows_per_second: 160000.0,
-            scorebench: ScoreBench {
-                rows: 200,
-                recursive_rows_per_second: 20000.0,
-                branchless_rows_per_second: 80000.0,
-                blocked_rows_per_second: 160000.0,
-            },
         }
     }
 
@@ -489,19 +378,26 @@ mod tests {
         let (data, model) = fixture();
         let summary = score_batch(&model.forest, &data, model.meta.positive_fraction).summary();
         let good = render_scoring("scored", &model, &summary, &sample_timing());
-        assert!(validate_scoring(&good.replace(SCORING_SCHEMA, "survdb-scoring/v2")).is_err());
+        assert!(validate_scoring(&good.replace(SCORING_SCHEMA, "survdb-scoring/v1")).is_err());
         assert!(validate_scoring(&good.replace("\"counts\"", "\"tallies\"")).is_err());
         // Break the histogram/rows identity.
         assert!(validate_scoring(&good.replace("\"rows\": 200", "\"rows\": 201")).is_err());
         assert!(validate_scoring("{}").is_err());
         assert!(validate_scoring("nonsense").is_err());
-        // scorebench drift: missing key, negative rate.
-        assert!(validate_scoring(&good.replace("\"scorebench\"", "\"kernelbench\"")).is_err());
-        assert!(validate_scoring(&good.replace(
-            "\"recursive_rows_per_second\": 20000",
-            "\"recursive_rows_per_second\": -1"
-        ))
-        .is_err());
+        assert!(validate_scoring(&good.replace("\"thread_limit\"", "\"threads\"")).is_err());
+        // Counts whose sum wraps around to the declared total.
+        let huge = 1u64 << 63;
+        let wrapped = good
+            .replace(
+                &format!("\"predicted_positive\": {}", summary.predicted_positive),
+                &format!("\"predicted_positive\": {huge}"),
+            )
+            .replace(
+                &format!("\"predicted_negative\": {}", summary.predicted_negative),
+                &format!("\"predicted_negative\": {}", huge + summary.rows as u64),
+            );
+        let err = validate_scoring(&wrapped).expect_err("counts overflow");
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   probabilities plus the paper's confident/uncertain partition.
 //!   The pre-kernel recursive walk is kept as
 //!   [`score_batch_recursive`] — the frozen bitwise-parity reference.
-//! - [`artifact`] — `artifacts/scoring.json` (`survdb-scoring/v1`),
+//! - [`artifact`] — `artifacts/scoring.json` (`survdb-scoring/v2`),
 //!   split into a deterministic counts section and a nondeterministic
 //!   throughput section, mirroring the run-trace convention.
 //!
@@ -35,7 +35,7 @@ pub mod score;
 
 pub use artifact::{
     deterministic_scoring_section, render_scoring, training_score_histogram, validate_scoring,
-    write_scoring, ScoreBench, ScoringTiming, SCORING_FILE, SCORING_SCHEMA,
+    write_scoring, ScoringTiming, SCORING_FILE, SCORING_SCHEMA,
 };
 pub use error::ModelError;
 pub use forest::flatkernel::{ForestKernel, KernelScratch, KernelStats};

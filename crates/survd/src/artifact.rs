@@ -1,72 +1,86 @@
 //! The serving artifact: `artifacts/serving.json`.
 //!
-//! Layout (schema `survdb-serving/v1`), mirroring the run-trace and
+//! Layout (schema `survdb-serving/v2`), mirroring the run-trace and
 //! scoring-artifact two-section convention:
 //!
 //! ```text
 //! {
-//!   "schema": "survdb-serving/v1",
+//!   "schema": "survdb-serving/v2",
 //!   "binary": "<emitting binary>",
-//!   "deterministic": {          // identical across runs & thread counts
-//!     "config": { "connections", "requests", "rows_per_request",
-//!                 "workers", "queue_capacity",
-//!                 "batch_max_rows", "batch_max_wait_ms" },
+//!   "deterministic": {          // identical across runs & daemon shapes
+//!     "config": { "connections", "requests", "rows_per_request" },
 //!     "corpus": { "rows", "seed" },
-//!     "model": { "tree_count", "feature_count",
-//!                "positive_fraction", "confidence_threshold" },
+//!     "model":  { "tree_count", "feature_count",
+//!                 "positive_fraction", "confidence_threshold" },
 //!     "counts": { "requests_sent", "responses_ok", "responses_shed",
 //!                 "responses_error", "rows_scored" },
-//!     "score_histogram": [10 × u64]
+//!     "sketch": { "buckets", "min_exponent", "max_exponent" },
+//!     "stages": { "queue_wait" | "batch_wait" | "score"
+//!                 | "write" | "total": { "observations" } },
+//!     "drift":  { "reference": [10 × u64], "live": [10 × u64],
+//!                 "scored", "divergence" }
 //!   },
-//!   "nondeterministic": {       // wall-clock serving performance
-//!     "elapsed_ms", "requests_per_second", "rows_per_second",
-//!     "latency_ms": { "p50", "p95", "p99", "max", "mean" }
+//!   "nondeterministic": {       // daemon shape and wall-clock stage timings
+//!     "config": { "workers", "queue_capacity",
+//!                 "batch_max_rows", "batch_max_wait_ms" },
+//!     "server_stages_ms": { "<stage>": { "buckets": [[i, count], ...],
+//!                                        "p50", "p95", "p99" } }
 //!   }
 //! }
 //! ```
 //!
-//! A closed-loop load run against a deterministic corpus produces
-//! deterministic counts and a deterministic score histogram (every
-//! response probability is a pure function of model × row); latency
-//! and throughput are wall-clock and live only under
-//! `nondeterministic`. The validator enforces the split plus the
-//! counting identities (ok + shed + error = sent, histogram sums to
-//! rows_scored, latency percentiles monotone) so a drifting producer
-//! fails CI instead of shipping inconsistent artifacts.
+//! A load run against a deterministic corpus produces deterministic
+//! counts and a deterministic drift histogram (every response
+//! probability is a pure function of model × row). The split leans on
+//! the sketch determinism contract ([`obs::sketch`]): which bucket an
+//! observation lands in is wall-clock, but *how many* observations each
+//! stage records is a pure function of the request stream — one
+//! `queue_wait`/`batch_wait`/`write`/`total` observation per 200
+//! response, one `score` observation per scored row. Bucketed timings
+//! and quantile estimates live only under `nondeterministic`, and so
+//! do the worker/queue/batch knobs: the deterministic section must be
+//! byte-identical between a 1-worker and an 8-worker daemon.
+//!
+//! The stage and drift sections are rendered and checked by
+//! [`crate::latency`]. The validator pins exact key order and the
+//! counting identities, so
+//! a drifting producer fails the `artifact-check` CI step instead of
+//! shipping silently. Schema evolution follows the workspace rule
+//! (DESIGN.md §14): any key addition, removal, or reorder bumps the
+//! suffix.
 
+use crate::latency::{
+    drift_json, server_stages_json, stages_json, validate_drift, validate_server_stages,
+    validate_stages, STAGE_COUNT,
+};
+use crate::server::ServerConfig;
 use obs::artifact::{
-    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
+    checked_sum, envelope, expect_float, expect_keys, expect_obj, expect_uint, field,
     validate_envelope, write_artifact,
 };
 use obs::jsonv::JsonV;
+use obs::sketch::{Sketch, SKETCH_BUCKETS, SKETCH_MAX_EXP, SKETCH_MIN_EXP};
+use obs::DriftSnapshot;
 use serve::SavedModel;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier for `serving.json`.
-pub const SERVING_SCHEMA: &str = "survdb-serving/v1";
+pub const SERVING_SCHEMA: &str = "survdb-serving/v2";
 
 /// File name the artifact is written under.
 pub const SERVING_FILE: &str = "serving.json";
 
-/// The load-run shape — everything that determines the deterministic
-/// section besides the model and corpus.
+/// The client side of a load run: its shape, which together with the
+/// model and corpus determines the deterministic section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingRunConfig {
-    /// Closed-loop client connections.
+    /// Client connections.
     pub connections: usize,
     /// Total requests issued.
     pub requests: usize,
     /// Feature rows per request.
     pub rows_per_request: usize,
-    /// Daemon worker threads.
-    pub workers: usize,
-    /// Admission-queue capacity.
-    pub queue_capacity: usize,
-    /// Batcher row threshold.
-    pub batch_max_rows: usize,
-    /// Batcher deadline in milliseconds.
-    pub batch_max_wait_ms: u64,
 }
 
 /// Where the request rows came from.
@@ -91,74 +105,53 @@ pub struct ServingCounts {
     pub responses_error: u64,
     /// Total rows scored across 200 responses.
     pub rows_scored: u64,
-    /// Positive-probability histogram over every scored row, bucketed
-    /// by [`serve::histogram_bucket`].
-    pub score_histogram: [u64; 10],
 }
 
-/// Wall-clock measurements of a load run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServingTiming {
-    /// Total run wall time in milliseconds.
-    pub elapsed_ms: f64,
-    /// Completed requests per second.
-    pub requests_per_second: f64,
-    /// Scored rows per second.
-    pub rows_per_second: f64,
-    /// 429-triggered client retries performed (0 unless the generator
-    /// ran with retries enabled). Timing-dependent — how often the
-    /// queue is full when a request lands depends on scheduling — so
-    /// it lives in the nondeterministic section.
-    pub retries_429: u64,
-    /// Request latency p50, milliseconds.
-    pub latency_p50_ms: f64,
-    /// Request latency p95, milliseconds.
-    pub latency_p95_ms: f64,
-    /// Request latency p99, milliseconds.
-    pub latency_p99_ms: f64,
-    /// Slowest request, milliseconds.
-    pub latency_max_ms: f64,
-    /// Mean request latency, milliseconds.
-    pub latency_mean_ms: f64,
+/// Everything one load run records in its deterministic section.
+#[derive(Debug, Clone)]
+pub struct ServingRun<'a> {
+    /// Client-side run shape.
+    pub config: ServingRunConfig,
+    /// Request corpus.
+    pub corpus: ServingCorpus,
+    /// The served model.
+    pub model: &'a SavedModel,
+    /// Outcome counts.
+    pub counts: ServingCounts,
+    /// The daemon's per-stage sketches, in
+    /// [`STAGE_NAMES`](crate::latency::STAGE_NAMES) order.
+    pub stages: [Sketch; STAGE_COUNT],
+    /// The daemon's drift monitor: training reference vs live scores.
+    pub drift: DriftSnapshot,
 }
 
-fn deterministic_json(
-    config: &ServingRunConfig,
-    corpus: &ServingCorpus,
-    model: &SavedModel,
-    counts: &ServingCounts,
-) -> JsonV {
+fn uint(v: usize) -> JsonV {
+    JsonV::UInt(v as u64)
+}
+
+fn deterministic_json(run: &ServingRun) -> JsonV {
+    let (config, counts, model) = (&run.config, &run.counts, run.model);
     JsonV::obj(vec![
         (
             "config",
             JsonV::obj(vec![
-                ("connections", JsonV::UInt(config.connections as u64)),
-                ("requests", JsonV::UInt(config.requests as u64)),
-                (
-                    "rows_per_request",
-                    JsonV::UInt(config.rows_per_request as u64),
-                ),
-                ("workers", JsonV::UInt(config.workers as u64)),
-                ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
-                ("batch_max_rows", JsonV::UInt(config.batch_max_rows as u64)),
-                ("batch_max_wait_ms", JsonV::UInt(config.batch_max_wait_ms)),
+                ("connections", uint(config.connections)),
+                ("requests", uint(config.requests)),
+                ("rows_per_request", uint(config.rows_per_request)),
             ]),
         ),
         (
             "corpus",
             JsonV::obj(vec![
-                ("rows", JsonV::UInt(corpus.rows as u64)),
-                ("seed", JsonV::UInt(corpus.seed)),
+                ("rows", uint(run.corpus.rows)),
+                ("seed", JsonV::UInt(run.corpus.seed)),
             ]),
         ),
         (
             "model",
             JsonV::obj(vec![
-                ("tree_count", JsonV::UInt(model.forest.tree_count() as u64)),
-                (
-                    "feature_count",
-                    JsonV::UInt(model.forest.feature_names().len() as u64),
-                ),
+                ("tree_count", uint(model.forest.tree_count())),
+                ("feature_count", uint(model.forest.feature_names().len())),
                 (
                     "positive_fraction",
                     JsonV::Float(model.meta.positive_fraction),
@@ -177,60 +170,36 @@ fn deterministic_json(
             ]),
         ),
         (
-            "score_histogram",
-            JsonV::Arr(
-                counts
-                    .score_histogram
-                    .iter()
-                    .map(|&v| JsonV::UInt(v))
-                    .collect(),
-            ),
+            "sketch",
+            JsonV::obj(vec![
+                ("buckets", uint(SKETCH_BUCKETS)),
+                ("min_exponent", JsonV::Float(SKETCH_MIN_EXP as f64)),
+                ("max_exponent", JsonV::Float(SKETCH_MAX_EXP as f64)),
+            ]),
         ),
+        ("stages", stages_json(&run.stages)),
+        ("drift", drift_json(&run.drift)),
     ])
 }
 
-/// Renders only the deterministic section — the byte string the
-/// loopback tests pin across worker counts and batch policies.
-pub fn deterministic_serving_section(
-    config: &ServingRunConfig,
-    corpus: &ServingCorpus,
-    model: &SavedModel,
-    counts: &ServingCounts,
-) -> String {
-    deterministic_json(config, corpus, model, counts).render()
-}
-
-/// Renders the full serving artifact for `binary`.
-pub fn render_serving(
-    binary: &str,
-    config: &ServingRunConfig,
-    corpus: &ServingCorpus,
-    model: &SavedModel,
-    counts: &ServingCounts,
-    timing: &ServingTiming,
-) -> String {
+/// Renders the full serving artifact for `binary`; `daemon` is the
+/// configuration the daemon ran with.
+pub fn render_serving(binary: &str, daemon: &ServerConfig, run: &ServingRun) -> String {
     envelope(
         SERVING_SCHEMA,
         binary,
-        deterministic_json(config, corpus, model, counts),
+        deterministic_json(run),
         JsonV::obj(vec![
-            ("elapsed_ms", JsonV::Float(timing.elapsed_ms)),
             (
-                "requests_per_second",
-                JsonV::Float(timing.requests_per_second),
-            ),
-            ("rows_per_second", JsonV::Float(timing.rows_per_second)),
-            ("retries_429", JsonV::UInt(timing.retries_429)),
-            (
-                "latency_ms",
+                "config",
                 JsonV::obj(vec![
-                    ("p50", JsonV::Float(timing.latency_p50_ms)),
-                    ("p95", JsonV::Float(timing.latency_p95_ms)),
-                    ("p99", JsonV::Float(timing.latency_p99_ms)),
-                    ("max", JsonV::Float(timing.latency_max_ms)),
-                    ("mean", JsonV::Float(timing.latency_mean_ms)),
+                    ("workers", uint(daemon.workers)),
+                    ("queue_capacity", uint(daemon.queue_capacity)),
+                    ("batch_max_rows", uint(daemon.batch.max_rows)),
+                    ("batch_max_wait_ms", JsonV::UInt(daemon.batch.max_wait_ms)),
                 ]),
             ),
+            ("server_stages_ms", server_stages_json(&run.stages)),
         ]),
     )
     .render()
@@ -238,78 +207,57 @@ pub fn render_serving(
 
 /// Writes `dir/serving.json` for `binary`, creating `dir` if needed.
 /// Returns the written path.
-#[allow(clippy::too_many_arguments)]
 pub fn write_serving(
     dir: &Path,
     binary: &str,
-    config: &ServingRunConfig,
-    corpus: &ServingCorpus,
-    model: &SavedModel,
-    counts: &ServingCounts,
-    timing: &ServingTiming,
+    daemon: &ServerConfig,
+    run: &ServingRun,
 ) -> io::Result<PathBuf> {
-    write_artifact(
-        dir,
-        SERVING_FILE,
-        &render_serving(binary, config, corpus, model, counts, timing),
-    )
+    write_artifact(dir, SERVING_FILE, &render_serving(binary, daemon, run))
+}
+
+/// Requires each listed key of `value` to be a nonzero unsigned integer.
+fn expect_nonzero(value: &JsonV, keys: &[&str], what: &str) -> Result<(), String> {
+    for key in keys {
+        if expect_uint(field(value, key)?, key)? == 0 {
+            return Err(format!("{what}.{key} must be nonzero"));
+        }
+    }
+    Ok(())
 }
 
 /// Structurally validates a rendered `serving.json`: schema id, the
-/// deterministic/nondeterministic split, field types, and the counting
-/// identities. `artifact-check` runs it in CI.
+/// deterministic/nondeterministic split, exact key order, field types,
+/// and the counting identities (ok + shed + error = sent, rows = ok ×
+/// rows_per_request, one queue-wait/batch-wait/write/total observation
+/// per 200 and one score observation and one drift record per scored
+/// row). `artifact-check` runs it in CI.
 pub fn validate_serving(text: &str) -> Result<(), String> {
     let root = validate_envelope(text, SERVING_SCHEMA)?;
 
     let det = field(&root, "deterministic")?;
-    let det_fields = expect_obj(det, "deterministic")?;
     expect_keys(
-        det_fields,
-        &["config", "corpus", "model", "counts", "score_histogram"],
+        expect_obj(det, "deterministic")?,
+        &[
+            "config", "corpus", "model", "counts", "sketch", "stages", "drift",
+        ],
         "deterministic",
     )?;
 
     let config = field(det, "config")?;
-    let config_fields = expect_obj(config, "config")?;
-    expect_keys(
-        config_fields,
-        &[
-            "connections",
-            "requests",
-            "rows_per_request",
-            "workers",
-            "queue_capacity",
-            "batch_max_rows",
-            "batch_max_wait_ms",
-        ],
-        "config",
-    )?;
-    for key in [
-        "connections",
-        "requests",
-        "rows_per_request",
-        "workers",
-        "queue_capacity",
-        "batch_max_rows",
-    ] {
-        if expect_uint(field(config, key)?, key)? == 0 {
-            return Err(format!("config.{key} must be nonzero"));
-        }
-    }
-    expect_uint(field(config, "batch_max_wait_ms")?, "batch_max_wait_ms")?;
+    let config_keys = ["connections", "requests", "rows_per_request"];
+    expect_keys(expect_obj(config, "config")?, &config_keys, "config")?;
+    expect_nonzero(config, &config_keys, "config")?;
+    let rows_per_request = expect_uint(field(config, "rows_per_request")?, "rows_per_request")?;
 
     let corpus = field(det, "corpus")?;
-    let corpus_fields = expect_obj(corpus, "corpus")?;
-    expect_keys(corpus_fields, &["rows", "seed"], "corpus")?;
-    if expect_uint(field(corpus, "rows")?, "corpus.rows")? == 0 {
-        return Err("corpus.rows must be nonzero".to_string());
-    }
+    expect_keys(expect_obj(corpus, "corpus")?, &["rows", "seed"], "corpus")?;
+    expect_nonzero(corpus, &["rows"], "corpus")?;
     expect_uint(field(corpus, "seed")?, "corpus.seed")?;
 
     let model = field(det, "model")?;
-    let model_fields = expect_obj(model, "model")?;
     expect_keys(
-        model_fields,
+        expect_obj(model, "model")?,
         &[
             "tree_count",
             "feature_count",
@@ -318,11 +266,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         ],
         "model",
     )?;
-    for key in ["tree_count", "feature_count"] {
-        if expect_uint(field(model, key)?, key)? == 0 {
-            return Err(format!("model.{key} must be nonzero"));
-        }
-    }
+    expect_nonzero(model, &["tree_count", "feature_count"], "model")?;
     let q = expect_float(field(model, "positive_fraction")?, "positive_fraction")?;
     if !(0.0..=1.0).contains(&q) {
         return Err(format!("positive_fraction {q} outside [0, 1]"));
@@ -336,9 +280,8 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
     }
 
     let counts = field(det, "counts")?;
-    let count_fields = expect_obj(counts, "counts")?;
     expect_keys(
-        count_fields,
+        expect_obj(counts, "counts")?,
         &[
             "requests_sent",
             "responses_ok",
@@ -348,100 +291,86 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
         ],
         "counts",
     )?;
+    expect_nonzero(counts, &["requests_sent"], "counts")?;
     let get_count = |key: &str| expect_uint(field(counts, key)?, key);
     let sent = get_count("requests_sent")?;
-    if sent == 0 {
-        return Err("counts.requests_sent must be nonzero".to_string());
-    }
     let ok = get_count("responses_ok")?;
-    if ok + get_count("responses_shed")? + get_count("responses_error")? != sent {
+    let answered = checked_sum(
+        [
+            ok,
+            get_count("responses_shed")?,
+            get_count("responses_error")?,
+        ],
+        "responses_ok + responses_shed + responses_error",
+    )?;
+    if answered != sent {
         return Err(
             "responses_ok + responses_shed + responses_error must equal requests_sent".to_string(),
         );
     }
     let rows_scored = get_count("rows_scored")?;
-    if ok > 0 && rows_scored == 0 {
-        return Err("rows_scored must be nonzero when responses_ok > 0".to_string());
+    if ok.checked_mul(rows_per_request) != Some(rows_scored) {
+        return Err(format!(
+            "rows_scored {rows_scored} != responses_ok {ok} × rows_per_request {rows_per_request}"
+        ));
     }
 
-    let histogram = expect_arr(field(det, "score_histogram")?, "score_histogram")?;
-    if histogram.len() != 10 {
-        return Err(format!(
-            "score_histogram must have 10 buckets, found {}",
-            histogram.len()
-        ));
+    let sketch = field(det, "sketch")?;
+    expect_keys(
+        expect_obj(sketch, "sketch")?,
+        &["buckets", "min_exponent", "max_exponent"],
+        "sketch",
+    )?;
+    if expect_uint(field(sketch, "buckets")?, "buckets")? != SKETCH_BUCKETS as u64 {
+        return Err(format!("sketch.buckets must be {SKETCH_BUCKETS}"));
     }
-    let mut total = 0u64;
-    for (i, bucket) in histogram.iter().enumerate() {
-        total += expect_uint(bucket, &format!("score_histogram[{i}]"))?;
+    for (key, want) in [
+        ("min_exponent", SKETCH_MIN_EXP as f64),
+        ("max_exponent", SKETCH_MAX_EXP as f64),
+    ] {
+        if expect_float(field(sketch, key)?, key)? != want {
+            return Err(format!("sketch.{key} must be {want}"));
+        }
     }
-    if total != rows_scored {
-        return Err(format!(
-            "score_histogram sums to {total}, counts.rows_scored is {rows_scored}"
-        ));
-    }
+
+    let observations = validate_stages(field(det, "stages")?, ok, rows_scored)?;
+    validate_drift(field(det, "drift")?, rows_scored)?;
 
     let nondet = field(&root, "nondeterministic")?;
-    let nondet_fields = expect_obj(nondet, "nondeterministic")?;
     expect_keys(
-        nondet_fields,
-        &[
-            "elapsed_ms",
-            "requests_per_second",
-            "rows_per_second",
-            "retries_429",
-            "latency_ms",
-        ],
+        expect_obj(nondet, "nondeterministic")?,
+        &["config", "server_stages_ms"],
         "nondeterministic",
     )?;
-    expect_uint(field(nondet, "retries_429")?, "retries_429")?;
-    for key in ["elapsed_ms", "requests_per_second", "rows_per_second"] {
-        let v = expect_float(field(nondet, key)?, key)?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("{key} must be finite and non-negative, found {v}"));
-        }
-    }
-    let latency = field(nondet, "latency_ms")?;
-    let latency_fields = expect_obj(latency, "latency_ms")?;
+    let daemon = field(nondet, "config")?;
     expect_keys(
-        latency_fields,
-        &["p50", "p95", "p99", "max", "mean"],
-        "latency_ms",
+        expect_obj(daemon, "nondeterministic.config")?,
+        &[
+            "workers",
+            "queue_capacity",
+            "batch_max_rows",
+            "batch_max_wait_ms",
+        ],
+        "nondeterministic.config",
     )?;
-    let get_latency = |key: &str| expect_float(field(latency, key)?, key);
-    let p50 = get_latency("p50")?;
-    let p95 = get_latency("p95")?;
-    let p99 = get_latency("p99")?;
-    let max = get_latency("max")?;
-    let mean = get_latency("mean")?;
-    for (key, v) in [
-        ("p50", p50),
-        ("p95", p95),
-        ("p99", p99),
-        ("max", max),
-        ("mean", mean),
-    ] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!(
-                "latency_ms.{key} must be finite and non-negative, found {v}"
-            ));
-        }
-    }
-    if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-        return Err(format!(
-            "latency percentiles must be monotone: p50 {p50}, p95 {p95}, p99 {p99}, max {max}"
-        ));
-    }
-    Ok(())
+    expect_nonzero(
+        daemon,
+        &["workers", "queue_capacity", "batch_max_rows"],
+        "nondeterministic.config",
+    )?;
+    expect_uint(field(daemon, "batch_max_wait_ms")?, "batch_max_wait_ms")?;
+
+    validate_server_stages(field(nondet, "server_stages_ms")?, observations)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use forest::{Dataset, RandomForest, RandomForestParams};
+    use obs::artifact::deterministic_section_of;
     use serve::ModelMeta;
 
-    fn fixture_model() -> SavedModel {
+    pub(crate) fn fixture_model() -> SavedModel {
         let mut d = Dataset::new(vec!["x0".into(), "x1".into()], 2);
         for i in 0..60 {
             let x0 = i as f64 / 60.0;
@@ -462,97 +391,123 @@ mod tests {
         SavedModel::new(forest, meta)
     }
 
-    fn sample() -> (
-        ServingRunConfig,
-        ServingCorpus,
-        ServingCounts,
-        ServingTiming,
-    ) {
-        (
-            ServingRunConfig {
-                connections: 4,
-                requests: 200,
+    /// A consistent run: 8 requests × 4 rows, every identity satisfied.
+    pub(crate) fn sample(model: &SavedModel) -> ServingRun<'_> {
+        let mut stages: [Sketch; STAGE_COUNT] = Default::default();
+        for (i, stage) in stages.iter_mut().enumerate() {
+            if i != 2 {
+                for k in 0..8 {
+                    stage.observe(0.5 + k as f64);
+                }
+            }
+        }
+        stages[2].observe_n(0.03, 32); // score: one observation per row
+        ServingRun {
+            config: ServingRunConfig {
+                connections: 2,
+                requests: 8,
                 rows_per_request: 4,
-                workers: 4,
-                queue_capacity: 128,
-                batch_max_rows: 64,
-                batch_max_wait_ms: 2,
             },
-            ServingCorpus {
+            corpus: ServingCorpus {
                 rows: 120,
                 seed: 42,
             },
-            ServingCounts {
-                requests_sent: 200,
-                responses_ok: 200,
+            model,
+            counts: ServingCounts {
+                requests_sent: 8,
+                responses_ok: 8,
                 responses_shed: 0,
                 responses_error: 0,
-                rows_scored: 800,
-                score_histogram: [100, 100, 80, 80, 40, 40, 80, 80, 100, 100],
+                rows_scored: 32,
             },
-            ServingTiming {
-                elapsed_ms: 120.5,
-                requests_per_second: 1660.0,
-                rows_per_second: 6640.0,
-                retries_429: 0,
-                latency_p50_ms: 1.2,
-                latency_p95_ms: 3.4,
-                latency_p99_ms: 5.6,
-                latency_max_ms: 9.9,
-                latency_mean_ms: 1.5,
+            stages,
+            drift: DriftSnapshot {
+                reference: [10, 10, 30, 10, 0, 0, 10, 50, 0, 0],
+                live: [0, 0, 12, 0, 0, 0, 0, 20, 0, 0],
             },
-        )
+        }
+    }
+
+    fn render(run: &ServingRun) -> String {
+        render_serving("loadgen", &ServerConfig::default(), run)
     }
 
     #[test]
     fn rendered_serving_validates() {
         let model = fixture_model();
-        let (config, corpus, counts, timing) = sample();
-        let text = render_serving("loadgen", &config, &corpus, &model, &counts, &timing);
+        let text = render(&sample(&model));
         validate_serving(&text).expect("schema-valid");
-        assert!(text.contains("\"requests_sent\": 200"));
-        assert!(text.contains("\"score_histogram\""));
+        assert!(text.contains("\"requests_sent\": 8"));
+        assert!(text.contains("\"server_stages_ms\""));
     }
 
     #[test]
     fn deterministic_section_excludes_timings() {
         let model = fixture_model();
-        let (config, corpus, counts, _) = sample();
-        let section = deterministic_serving_section(&config, &corpus, &model, &counts);
-        assert!(!section.contains("elapsed_ms"));
-        assert!(!section.contains("latency"));
-        assert!(section.contains("\"rows_scored\": 800"));
+        let full = render(&sample(&model));
+        let section = deterministic_section_of(&full).expect("has a section");
+        // Byte-identity across daemon shapes requires these to be
+        // absent from the deterministic section.
+        for key in ["workers", "queue_capacity", "batch_max", "p50", "_ms"] {
+            assert!(!section.contains(key), "{key} in {section}");
+        }
+        assert!(section.contains("\"observations\": 32"));
+        // Daemon-shape knobs live only in the nondeterministic section.
+        assert!(full.contains("\"workers\""));
+        assert!(full.contains("\"batch_max_wait_ms\""));
     }
 
     #[test]
     fn validator_rejects_drift() {
         let model = fixture_model();
-        let (config, corpus, counts, timing) = sample();
-        let good = render_serving("loadgen", &config, &corpus, &model, &counts, &timing);
-        assert!(validate_serving(&good.replace(SERVING_SCHEMA, "survdb-serving/v2")).is_err());
+        let good = render(&sample(&model));
+        assert!(validate_serving(&good.replace(SERVING_SCHEMA, "survdb-serving/v1")).is_err());
         assert!(validate_serving(&good.replace("\"counts\"", "\"tallies\"")).is_err());
+        assert!(validate_serving(&good.replace("\"stages\"", "\"phases\"")).is_err());
         // Break the ok + shed + error = sent identity.
         assert!(
-            validate_serving(&good.replace("\"responses_ok\": 200", "\"responses_ok\": 199"))
-                .is_err()
+            validate_serving(&good.replace("\"responses_ok\": 8", "\"responses_ok\": 7")).is_err()
         );
-        // Break the histogram/rows_scored identity.
+        // Break rows_scored = ok × rows_per_request.
         assert!(
-            validate_serving(&good.replace("\"rows_scored\": 800", "\"rows_scored\": 801"))
-                .is_err()
+            validate_serving(&good.replace("\"rows_scored\": 32", "\"rows_scored\": 33")).is_err()
         );
-        // Break latency monotonicity.
-        assert!(validate_serving(&good.replace("\"p95\": 3.4", "\"p95\": 99.0")).is_err());
+        // Break drift.live / drift.scored agreement.
+        assert!(validate_serving(&good.replace("\"scored\": 32", "\"scored\": 31")).is_err());
+        // A zero knob.
+        assert!(validate_serving(&good.replace("\"workers\": 4", "\"workers\": 0")).is_err());
         assert!(validate_serving("{}").is_err());
         assert!(validate_serving("nonsense").is_err());
     }
 
     #[test]
+    fn validator_refuses_counts_that_overflow() {
+        let model = fixture_model();
+        // Wrapping sums would land exactly on the declared totals.
+        let huge = 1u64 << 63;
+        let mut run = sample(&model);
+        run.drift.live[0] = 777_001;
+        run.drift.live[1] = 777_002;
+        let text = render(&run)
+            .replace("777001", &huge.to_string())
+            .replace("777002", &huge.to_string());
+        let err = validate_serving(&text).expect_err("drift.live overflows");
+        assert!(err.contains("overflows"), "{err}");
+        let mut run = sample(&model);
+        run.counts.responses_shed = huge;
+        run.counts.responses_error = huge;
+        let err = validate_serving(&render(&run)).expect_err("answered overflows");
+        assert!(err.contains("overflows"), "{err}");
+        let mut run = sample(&model);
+        run.config.rows_per_request = 1 << 62;
+        assert!(validate_serving(&render(&run)).is_err());
+    }
+
+    #[test]
     fn write_serving_creates_the_artifact() {
         let model = fixture_model();
-        let (config, corpus, counts, timing) = sample();
         let dir = std::env::temp_dir().join(format!("survdb-serving-{}", std::process::id()));
-        let path = write_serving(&dir, "loadgen", &config, &corpus, &model, &counts, &timing)
+        let path = write_serving(&dir, "loadgen", &ServerConfig::default(), &sample(&model))
             .expect("writes");
         let text = std::fs::read_to_string(&path).expect("readable");
         validate_serving(&text).expect("valid on disk");

@@ -1,29 +1,17 @@
-//! The serving-latency artifact: `artifacts/latency.json`.
+//! The per-request latency sections of the serving artifact.
 //!
-//! Layout (schema `survdb-latency/v1`), mirroring the run-trace and
-//! serving-artifact two-section convention:
+//! Each request is clocked through admit → queue-wait → batch-wait →
+//! score → write; per-stage durations feed `obs::sketch` streaming
+//! histograms registered under [`STAGE_SKETCHES`], and every scored
+//! probability feeds an `obs::DriftMonitor`. This module renders and
+//! validates the three `serving.json` sections built from them:
 //!
 //! ```text
-//! {
-//!   "schema": "survdb-latency/v1",
-//!   "binary": "<emitting binary>",
-//!   "deterministic": {          // identical across runs & worker counts
-//!     "config": { "connections", "rows_per_request" },
-//!     "sketch": { "buckets", "min_exponent", "max_exponent" },
-//!     "stages": { "queue_wait" | "batch_wait" | "score"
-//!                 | "write" | "total": { "observations" } },
-//!     "drift":  { "reference": [10 × u64], "live": [10 × u64],
-//!                 "scored", "divergence" },
-//!     "counts": { "requests_sent", "responses_ok", "rows_scored" }
-//!   },
-//!   "nondeterministic": {       // wall-clock stage timings
-//!     "config": { "workers", "queue_capacity",
-//!                 "batch_max_rows", "batch_max_wait_ms" },
-//!     "server_stages_ms": { "<stage>": { "buckets": [[i, count], ...],
-//!                                        "p50", "p95", "p99" } },
-//!     "client_latency_ms": { "p50", "p95", "p99", "max", "mean" }
-//!   }
-//! }
+//! deterministic.stages            { "<stage>": { "observations" } }
+//! deterministic.drift             { "reference", "live", "scored", "divergence" }
+//! nondeterministic.server_stages_ms
+//!                                 { "<stage>": { "buckets": [[i, count], ...],
+//!                                                "p50", "p95", "p99" } }
 //! ```
 //!
 //! The split leans on the sketch determinism contract
@@ -31,35 +19,18 @@
 //! wall-clock, but *how many* observations each stage records is a
 //! pure function of the request stream — one `queue_wait`/
 //! `batch_wait`/`write`/`total` observation per 200 response, one
-//! `score` observation per scored row. Those counts, the drift
+//! `score` observation per scored row. Those counts and the drift
 //! histograms (every scored probability is a pure function of
-//! model × row), and the TV-divergence over them are deterministic;
-//! bucketed timing values and quantile estimates live only under
-//! `nondeterministic`. Worker/queue/batch knobs are *excluded* from
-//! the deterministic config on purpose: the deterministic section
-//! must be byte-identical between a 1-worker and an 8-worker daemon.
-//!
-//! Schema evolution follows the workspace rule (DESIGN.md §14): any
-//! key addition, removal, or reorder bumps the `/v1` suffix; the
-//! validator pins exact key order so a drifting producer fails the
-//! `artifact-check` CI step instead of shipping silently.
+//! model × row) are deterministic; bucketed timings and quantile
+//! estimates are not. [`crate::artifact`] places the sections and
+//! supplies the response and row counts the identities check against.
 
-use crate::server::ServerConfig;
 use obs::artifact::{
-    envelope, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
-    validate_envelope, write_artifact,
+    checked_sum, expect_arr, expect_float, expect_keys, expect_obj, expect_uint, field,
 };
 use obs::jsonv::JsonV;
-use obs::sketch::{Sketch, SKETCH_BUCKETS, SKETCH_MAX_EXP, SKETCH_MIN_EXP};
+use obs::sketch::{Sketch, SKETCH_BUCKETS};
 use obs::{DriftSnapshot, DRIFT_BUCKETS};
-use std::io;
-use std::path::{Path, PathBuf};
-
-/// Schema identifier for `latency.json`.
-pub const LATENCY_SCHEMA: &str = "survdb-latency/v1";
-
-/// File name the artifact is written under.
-pub const LATENCY_FILE: &str = "latency.json";
 
 /// Sketch feeding the queue-wait stage (admission push → batcher pop).
 pub const STAGE_QUEUE_WAIT: &str = "survd.stage.queue_wait_ms";
@@ -88,209 +59,97 @@ pub const STAGE_SKETCHES: [&str; STAGE_COUNT] = [
     STAGE_TOTAL,
 ];
 
-/// The load-run shape and deterministic outcome counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyRun {
-    /// Closed-loop client connections (the daemon's accepted-connection
-    /// count when self-reporting).
-    pub connections: u64,
-    /// Feature rows per request; 0 when requests vary (daemon
-    /// self-report), which disables the rows identity check.
-    pub rows_per_request: u64,
-    /// Requests issued (all `/score` outcomes).
-    pub requests_sent: u64,
-    /// 200 responses.
-    pub responses_ok: u64,
-    /// Rows scored across 200 responses.
-    pub rows_scored: u64,
-}
-
-/// Client-observed request latency; all zeros when the emitter is the
-/// daemon itself (no client side).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClientLatency {
-    /// Request latency p50, milliseconds.
-    pub p50: f64,
-    /// Request latency p95, milliseconds.
-    pub p95: f64,
-    /// Request latency p99, milliseconds.
-    pub p99: f64,
-    /// Slowest request, milliseconds.
-    pub max: f64,
-    /// Mean request latency, milliseconds.
-    pub mean: f64,
-}
-
-impl ClientLatency {
-    /// The daemon-self-report value: no client measured anything.
-    pub fn zero() -> ClientLatency {
-        ClientLatency {
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            max: 0.0,
-            mean: 0.0,
-        }
-    }
-}
-
 /// The per-stage sketches out of a registry snapshot, in
 /// [`STAGE_NAMES`] order; a stage nothing observed yet is empty.
 pub fn stage_sketches(snapshot: &obs::Snapshot) -> [Sketch; STAGE_COUNT] {
     STAGE_SKETCHES.map(|name| snapshot.sketches.get(name).cloned().unwrap_or_default())
 }
 
-fn deterministic_json(
-    run: &LatencyRun,
-    stages: &[Sketch; STAGE_COUNT],
-    drift: &DriftSnapshot,
-) -> JsonV {
+/// `deterministic.stages`: each stage's observation count.
+pub(crate) fn stages_json(stages: &[Sketch; STAGE_COUNT]) -> JsonV {
+    JsonV::Obj(
+        STAGE_NAMES
+            .iter()
+            .zip(stages.iter())
+            .map(|(&name, sketch)| {
+                (
+                    name.to_string(),
+                    JsonV::obj(vec![("observations", JsonV::UInt(sketch.total()))]),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// `deterministic.drift`: training reference vs live score histograms.
+pub(crate) fn drift_json(drift: &DriftSnapshot) -> JsonV {
     let histogram = |counts: &[u64; DRIFT_BUCKETS]| {
         JsonV::Arr(counts.iter().map(|&v| JsonV::UInt(v)).collect())
     };
     JsonV::obj(vec![
-        (
-            "config",
-            JsonV::obj(vec![
-                ("connections", JsonV::UInt(run.connections)),
-                ("rows_per_request", JsonV::UInt(run.rows_per_request)),
-            ]),
-        ),
-        (
-            "sketch",
-            JsonV::obj(vec![
-                ("buckets", JsonV::UInt(SKETCH_BUCKETS as u64)),
-                ("min_exponent", JsonV::Float(SKETCH_MIN_EXP as f64)),
-                ("max_exponent", JsonV::Float(SKETCH_MAX_EXP as f64)),
-            ]),
-        ),
-        (
-            "stages",
-            JsonV::Obj(
-                STAGE_NAMES
-                    .iter()
-                    .zip(stages.iter())
-                    .map(|(&name, sketch)| {
-                        (
-                            name.to_string(),
-                            JsonV::obj(vec![("observations", JsonV::UInt(sketch.total()))]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "drift",
-            JsonV::obj(vec![
-                ("reference", histogram(&drift.reference)),
-                ("live", histogram(&drift.live)),
-                ("scored", JsonV::UInt(drift.total())),
-                ("divergence", JsonV::Float(drift.divergence())),
-            ]),
-        ),
-        (
-            "counts",
-            JsonV::obj(vec![
-                ("requests_sent", JsonV::UInt(run.requests_sent)),
-                ("responses_ok", JsonV::UInt(run.responses_ok)),
-                ("rows_scored", JsonV::UInt(run.rows_scored)),
-            ]),
-        ),
+        ("reference", histogram(&drift.reference)),
+        ("live", histogram(&drift.live)),
+        ("scored", JsonV::UInt(drift.total())),
+        ("divergence", JsonV::Float(drift.divergence())),
     ])
 }
 
-/// Renders only the deterministic section — the byte string the
-/// loopback tests pin across worker counts.
-pub fn deterministic_latency_section(
-    run: &LatencyRun,
-    stages: &[Sketch; STAGE_COUNT],
-    drift: &DriftSnapshot,
-) -> String {
-    deterministic_json(run, stages, drift).render()
-}
-
-fn stage_json(sketch: &Sketch) -> JsonV {
-    let buckets: Vec<JsonV> = sketch
-        .counts()
-        .iter()
-        .enumerate()
-        .filter(|(_, &count)| count > 0)
-        .map(|(i, &count)| JsonV::Arr(vec![JsonV::UInt(i as u64), JsonV::UInt(count)]))
-        .collect();
-    JsonV::obj(vec![
-        ("buckets", JsonV::Arr(buckets)),
-        ("p50", JsonV::Float(sketch.quantile(0.50))),
-        ("p95", JsonV::Float(sketch.quantile(0.95))),
-        ("p99", JsonV::Float(sketch.quantile(0.99))),
-    ])
-}
-
-/// Renders the full latency artifact for `binary`.
-pub fn render_latency(
-    binary: &str,
-    config: &ServerConfig,
-    run: &LatencyRun,
-    stages: &[Sketch; STAGE_COUNT],
-    drift: &DriftSnapshot,
-    client: &ClientLatency,
-) -> String {
-    envelope(
-        LATENCY_SCHEMA,
-        binary,
-        deterministic_json(run, stages, drift),
+/// `nondeterministic.server_stages_ms`: each stage's occupied sketch
+/// buckets and quantile estimates.
+pub(crate) fn server_stages_json(stages: &[Sketch; STAGE_COUNT]) -> JsonV {
+    let stage_json = |sketch: &Sketch| {
+        let buckets: Vec<JsonV> = sketch
+            .counts()
+            .iter()
+            .enumerate()
+            .filter(|(_, &count)| count > 0)
+            .map(|(i, &count)| JsonV::Arr(vec![JsonV::UInt(i as u64), JsonV::UInt(count)]))
+            .collect();
         JsonV::obj(vec![
-            (
-                "config",
-                JsonV::obj(vec![
-                    ("workers", JsonV::UInt(config.workers as u64)),
-                    ("queue_capacity", JsonV::UInt(config.queue_capacity as u64)),
-                    ("batch_max_rows", JsonV::UInt(config.batch.max_rows as u64)),
-                    ("batch_max_wait_ms", JsonV::UInt(config.batch.max_wait_ms)),
-                ]),
-            ),
-            (
-                "server_stages_ms",
-                JsonV::Obj(
-                    STAGE_NAMES
-                        .iter()
-                        .zip(stages.iter())
-                        .map(|(&name, sketch)| (name.to_string(), stage_json(sketch)))
-                        .collect(),
-                ),
-            ),
-            (
-                "client_latency_ms",
-                JsonV::obj(vec![
-                    ("p50", JsonV::Float(client.p50)),
-                    ("p95", JsonV::Float(client.p95)),
-                    ("p99", JsonV::Float(client.p99)),
-                    ("max", JsonV::Float(client.max)),
-                    ("mean", JsonV::Float(client.mean)),
-                ]),
-            ),
-        ]),
-    )
-    .render()
-}
-
-/// Writes `dir/latency.json` for `binary`, creating `dir` if needed.
-/// Returns the written path.
-pub fn write_latency(
-    dir: &Path,
-    binary: &str,
-    config: &ServerConfig,
-    run: &LatencyRun,
-    stages: &[Sketch; STAGE_COUNT],
-    drift: &DriftSnapshot,
-    client: &ClientLatency,
-) -> io::Result<PathBuf> {
-    write_artifact(
-        dir,
-        LATENCY_FILE,
-        &render_latency(binary, config, run, stages, drift, client),
+            ("buckets", JsonV::Arr(buckets)),
+            ("p50", JsonV::Float(sketch.quantile(0.50))),
+            ("p95", JsonV::Float(sketch.quantile(0.95))),
+            ("p99", JsonV::Float(sketch.quantile(0.99))),
+        ])
+    };
+    JsonV::Obj(
+        STAGE_NAMES
+            .iter()
+            .zip(stages.iter())
+            .map(|(&name, sketch)| (name.to_string(), stage_json(sketch)))
+            .collect(),
     )
 }
 
+/// Validates `deterministic.stages` against the lifecycle counting
+/// identities: exactly one queue-wait, batch-wait, write, and total
+/// observation per 200 response, and one score observation per scored
+/// row. Returns the observation counts in [`STAGE_NAMES`] order.
+pub(crate) fn validate_stages(
+    stages: &JsonV,
+    responses_ok: u64,
+    rows_scored: u64,
+) -> Result<[u64; STAGE_COUNT], String> {
+    expect_keys(expect_obj(stages, "stages")?, &STAGE_NAMES, "stages")?;
+    let mut observations = [0u64; STAGE_COUNT];
+    for (slot, name) in observations.iter_mut().zip(STAGE_NAMES) {
+        let stage = field(stages, name)?;
+        let what = format!("stages.{name}");
+        expect_keys(expect_obj(stage, name)?, &["observations"], &what)?;
+        *slot = expect_uint(field(stage, "observations")?, &what)?;
+        let (want, per) = if name == "score" {
+            (rows_scored, "rows_scored")
+        } else {
+            (responses_ok, "responses_ok")
+        };
+        if *slot != want {
+            return Err(format!("{what}.observations {slot} != {per} {want}"));
+        }
+    }
+    Ok(observations)
+}
+
+/// Requires a [`DRIFT_BUCKETS`]-long count histogram; returns its sum.
 fn expect_histogram(value: &JsonV, what: &str) -> Result<u64, String> {
     let items = expect_arr(value, what)?;
     if items.len() != DRIFT_BUCKETS {
@@ -299,127 +158,19 @@ fn expect_histogram(value: &JsonV, what: &str) -> Result<u64, String> {
             items.len()
         ));
     }
-    let mut total = 0u64;
-    for (i, bucket) in items.iter().enumerate() {
-        total += expect_uint(bucket, &format!("{what}[{i}]"))?;
-    }
-    Ok(total)
+    let counts = items
+        .iter()
+        .enumerate()
+        .map(|(i, bucket)| expect_uint(bucket, &format!("{what}[{i}]")))
+        .collect::<Result<Vec<u64>, String>>()?;
+    checked_sum(counts, what)
 }
 
-/// Structurally validates a rendered `latency.json`: schema id, the
-/// deterministic/nondeterministic split, exact key order, and the
-/// counting identities the lifecycle instrumentation guarantees (one
-/// queue-wait/batch-wait/write/total observation per 200 response,
-/// one score observation and one drift record per scored row).
-/// `artifact-check` runs it in CI.
-pub fn validate_latency(text: &str) -> Result<(), String> {
-    let root = validate_envelope(text, LATENCY_SCHEMA)?;
-
-    let det = field(&root, "deterministic")?;
-    let det_fields = expect_obj(det, "deterministic")?;
+/// Validates `deterministic.drift`: `live` sums to `scored`, which
+/// equals `rows_scored`, and the divergence is in [0, 1].
+pub(crate) fn validate_drift(drift: &JsonV, rows_scored: u64) -> Result<(), String> {
     expect_keys(
-        det_fields,
-        &["config", "sketch", "stages", "drift", "counts"],
-        "deterministic",
-    )?;
-
-    let config = field(det, "config")?;
-    let config_fields = expect_obj(config, "deterministic.config")?;
-    expect_keys(
-        config_fields,
-        &["connections", "rows_per_request"],
-        "deterministic.config",
-    )?;
-    if expect_uint(field(config, "connections")?, "connections")? == 0 {
-        return Err("config.connections must be nonzero".to_string());
-    }
-    let rows_per_request = expect_uint(field(config, "rows_per_request")?, "rows_per_request")?;
-
-    let sketch = field(det, "sketch")?;
-    let sketch_fields = expect_obj(sketch, "sketch")?;
-    expect_keys(
-        sketch_fields,
-        &["buckets", "min_exponent", "max_exponent"],
-        "sketch",
-    )?;
-    if expect_uint(field(sketch, "buckets")?, "buckets")? != SKETCH_BUCKETS as u64 {
-        return Err(format!("sketch.buckets must be {SKETCH_BUCKETS}"));
-    }
-    for (key, want) in [
-        ("min_exponent", SKETCH_MIN_EXP as f64),
-        ("max_exponent", SKETCH_MAX_EXP as f64),
-    ] {
-        if expect_float(field(sketch, key)?, key)? != want {
-            return Err(format!("sketch.{key} must be {want}"));
-        }
-    }
-
-    let stages = field(det, "stages")?;
-    let stage_fields = expect_obj(stages, "stages")?;
-    expect_keys(stage_fields, &STAGE_NAMES, "stages")?;
-    let mut observations = [0u64; STAGE_COUNT];
-    for (slot, name) in observations.iter_mut().zip(STAGE_NAMES) {
-        let stage = field(stages, name)?;
-        expect_keys(
-            expect_obj(stage, name)?,
-            &["observations"],
-            &format!("stages.{name}"),
-        )?;
-        *slot = expect_uint(
-            field(stage, "observations")?,
-            &format!("stages.{name}.observations"),
-        )?;
-    }
-
-    let counts = field(det, "counts")?;
-    let count_fields = expect_obj(counts, "counts")?;
-    expect_keys(
-        count_fields,
-        &["requests_sent", "responses_ok", "rows_scored"],
-        "counts",
-    )?;
-    let get_count = |key: &str| expect_uint(field(counts, key)?, key);
-    let sent = get_count("requests_sent")?;
-    if sent == 0 {
-        return Err("counts.requests_sent must be nonzero".to_string());
-    }
-    let ok = get_count("responses_ok")?;
-    if ok > sent {
-        return Err(format!("responses_ok {ok} exceeds requests_sent {sent}"));
-    }
-    let rows_scored = get_count("rows_scored")?;
-    if rows_per_request > 0 && rows_scored != ok * rows_per_request {
-        return Err(format!(
-            "rows_scored {rows_scored} != responses_ok {ok} × rows_per_request {rows_per_request}"
-        ));
-    }
-
-    // The lifecycle counting identities: exactly one queue-wait,
-    // batch-wait, write, and total observation per 200 response, and
-    // one score observation per scored row.
-    let [queue_wait, batch_wait, score, write, total] = observations;
-    for (name, got) in [
-        ("queue_wait", queue_wait),
-        ("batch_wait", batch_wait),
-        ("write", write),
-        ("total", total),
-    ] {
-        if got != ok {
-            return Err(format!(
-                "stages.{name}.observations {got} != responses_ok {ok}"
-            ));
-        }
-    }
-    if score != rows_scored {
-        return Err(format!(
-            "stages.score.observations {score} != rows_scored {rows_scored}"
-        ));
-    }
-
-    let drift = field(det, "drift")?;
-    let drift_fields = expect_obj(drift, "drift")?;
-    expect_keys(
-        drift_fields,
+        expect_obj(drift, "drift")?,
         &["reference", "live", "scored", "divergence"],
         "drift",
     )?;
@@ -440,33 +191,16 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
     if !(0.0..=1.0).contains(&divergence) {
         return Err(format!("drift.divergence {divergence} outside [0, 1]"));
     }
+    Ok(())
+}
 
-    let nondet = field(&root, "nondeterministic")?;
-    let nondet_fields = expect_obj(nondet, "nondeterministic")?;
-    expect_keys(
-        nondet_fields,
-        &["config", "server_stages_ms", "client_latency_ms"],
-        "nondeterministic",
-    )?;
-    let nconfig = field(nondet, "config")?;
-    expect_keys(
-        expect_obj(nconfig, "nondeterministic.config")?,
-        &[
-            "workers",
-            "queue_capacity",
-            "batch_max_rows",
-            "batch_max_wait_ms",
-        ],
-        "nondeterministic.config",
-    )?;
-    for key in ["workers", "queue_capacity", "batch_max_rows"] {
-        if expect_uint(field(nconfig, key)?, key)? == 0 {
-            return Err(format!("nondeterministic.config.{key} must be nonzero"));
-        }
-    }
-    expect_uint(field(nconfig, "batch_max_wait_ms")?, "batch_max_wait_ms")?;
-
-    let server = field(nondet, "server_stages_ms")?;
+/// Validates `nondeterministic.server_stages_ms`: sparse, strictly
+/// increasing `[index, count]` bucket pairs summing to each stage's
+/// `observations`, and monotone quantiles.
+pub(crate) fn validate_server_stages(
+    server: &JsonV,
+    observations: [u64; STAGE_COUNT],
+) -> Result<(), String> {
     expect_keys(
         expect_obj(server, "server_stages_ms")?,
         &STAGE_NAMES,
@@ -480,7 +214,7 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
             &format!("server_stages_ms.{name}"),
         )?;
         let buckets = expect_arr(field(stage, "buckets")?, &format!("{name}.buckets"))?;
-        let mut sum = 0u64;
+        let mut counts = Vec::with_capacity(buckets.len());
         let mut last_index: Option<u64> = None;
         for entry in buckets {
             let pair = match entry {
@@ -503,8 +237,9 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
                 return Err(format!("{name} bucket {index} has zero count"));
             }
             last_index = Some(index);
-            sum += count;
+            counts.push(count);
         }
+        let sum = checked_sum(counts, &format!("{name}.buckets"))?;
         if sum != expected_total {
             return Err(format!(
                 "{name} buckets sum to {sum}, stages.{name}.observations is {expected_total}"
@@ -519,158 +254,126 @@ pub fn validate_latency(text: &str) -> Result<(), String> {
             ));
         }
     }
-
-    let client = field(nondet, "client_latency_ms")?;
-    expect_keys(
-        expect_obj(client, "client_latency_ms")?,
-        &["p50", "p95", "p99", "max", "mean"],
-        "client_latency_ms",
-    )?;
-    let get_latency = |key: &str| expect_float(field(client, key)?, key);
-    let (p50, p95, p99, max, mean) = (
-        get_latency("p50")?,
-        get_latency("p95")?,
-        get_latency("p99")?,
-        get_latency("max")?,
-        get_latency("mean")?,
-    );
-    for (key, v) in [
-        ("p50", p50),
-        ("p95", p95),
-        ("p99", p99),
-        ("max", max),
-        ("mean", mean),
-    ] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!(
-                "client_latency_ms.{key} must be finite and non-negative, found {v}"
-            ));
-        }
-    }
-    if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-        return Err(format!(
-            "client latency percentiles must be monotone: p50 {p50}, p95 {p95}, p99 {p99}, max {max}"
-        ));
-    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{tests as serving, write_serving};
+    use crate::server::ServerConfig;
+    use obs::jsonv;
 
-    /// A consistent fixture: 8 requests × 4 rows, every identity
+    /// A consistent fixture: 8 responses × 4 rows, every identity
     /// satisfied.
-    fn sample() -> (
-        ServerConfig,
-        LatencyRun,
-        [Sketch; STAGE_COUNT],
-        DriftSnapshot,
-        ClientLatency,
-    ) {
-        let run = LatencyRun {
-            connections: 2,
-            rows_per_request: 4,
-            requests_sent: 8,
-            responses_ok: 8,
-            rows_scored: 32,
-        };
+    fn sample() -> ([Sketch; STAGE_COUNT], DriftSnapshot) {
         let mut stages: [Sketch; STAGE_COUNT] = Default::default();
         for (i, stage) in stages.iter_mut().enumerate() {
-            let per_response = [8u64, 8, 0, 8, 8][i];
-            for k in 0..per_response {
-                stage.observe(0.5 + k as f64);
+            if i != 2 {
+                for k in 0..8 {
+                    stage.observe(0.5 + k as f64);
+                }
             }
         }
         stages[2].observe_n(0.03, 32); // score: one observation per row
-        let mut live = [0u64; DRIFT_BUCKETS];
-        live[2] = 12;
-        live[7] = 20;
         let drift = DriftSnapshot {
             reference: [10, 10, 30, 10, 0, 0, 10, 50, 0, 0],
-            live,
+            live: [0, 0, 12, 0, 0, 0, 0, 20, 0, 0],
         };
-        let client = ClientLatency {
-            p50: 1.0,
-            p95: 2.0,
-            p99: 4.0,
-            max: 9.0,
-            mean: 1.4,
-        };
-        (ServerConfig::default(), run, stages, drift, client)
+        (stages, drift)
+    }
+
+    /// Renders the three sections as one JSON object, the way they
+    /// reach disk.
+    fn render() -> String {
+        let (stages, drift) = sample();
+        JsonV::obj(vec![
+            ("stages", stages_json(&stages)),
+            ("drift", drift_json(&drift)),
+            ("server_stages_ms", server_stages_json(&stages)),
+        ])
+        .render()
+    }
+
+    /// Runs the three section validators over a rendered object.
+    fn validate(text: &str, responses_ok: u64, rows_scored: u64) -> Result<(), String> {
+        let root = jsonv::parse(text)?;
+        let observations = validate_stages(field(&root, "stages")?, responses_ok, rows_scored)?;
+        validate_drift(field(&root, "drift")?, rows_scored)?;
+        validate_server_stages(field(&root, "server_stages_ms")?, observations)
     }
 
     #[test]
     fn rendered_latency_validates() {
-        let (config, run, stages, drift, client) = sample();
-        let text = render_latency("loadgen", &config, &run, &stages, &drift, &client);
-        validate_latency(&text).expect("schema-valid");
-        assert!(text.contains("\"rows_scored\": 32"));
-        assert!(text.contains("\"server_stages_ms\""));
+        let text = render();
+        validate(&text, 8, 32).expect("schema-valid");
+        assert!(text.contains("\"scored\": 32"));
+        assert!(text.contains("\"p99\""));
     }
 
     #[test]
     fn deterministic_section_excludes_worker_knobs_and_timings() {
-        let (config, run, stages, drift, client) = sample();
-        let section = deterministic_latency_section(&run, &stages, &drift);
+        let (stages, drift) = sample();
+        let section = JsonV::obj(vec![
+            ("stages", stages_json(&stages)),
+            ("drift", drift_json(&drift)),
+        ])
+        .render();
         // Byte-identity across daemon shapes requires these to be
-        // absent from the deterministic section.
-        assert!(!section.contains("workers"));
-        assert!(!section.contains("queue_capacity"));
-        assert!(!section.contains("p50"));
+        // absent from the deterministic sections.
+        for key in ["workers", "queue_capacity", "batch_max", "p50", "buckets"] {
+            assert!(!section.contains(key), "{key} in {section}");
+        }
         assert!(section.contains("\"observations\": 32"));
-        // Daemon-shape knobs live only in the nondeterministic render.
-        let full = render_latency("loadgen", &config, &run, &stages, &drift, &client);
-        assert!(full.contains("\"workers\""));
-        assert!(full.contains("\"batch_max_wait_ms\""));
+        // Timings live only in the nondeterministic section.
+        let timings = server_stages_json(&stages).render();
+        assert!(timings.contains("\"p50\""));
+        assert!(timings.contains("\"buckets\""));
     }
 
     #[test]
     fn validator_rejects_drift() {
-        let (config, run, stages, drift, client) = sample();
-        let good = render_latency("loadgen", &config, &run, &stages, &drift, &client);
-        assert!(validate_latency(&good.replace(LATENCY_SCHEMA, "survdb-latency/v2")).is_err());
-        assert!(validate_latency(&good.replace("\"stages\"", "\"phases\"")).is_err());
-        // Break the score-observations == rows_scored identity.
-        assert!(
-            validate_latency(&good.replace("\"rows_scored\": 32", "\"rows_scored\": 33")).is_err()
-        );
+        let good = render();
+        validate(&good, 8, 32).expect("schema-valid");
+        // Counts that disagree with the response and row totals.
+        assert!(validate(&good, 7, 32).is_err());
+        assert!(validate(&good, 8, 33).is_err());
+        assert!(validate(&good.replace("\"queue_wait\"", "\"queue\""), 8, 32).is_err());
         // Break the per-response identity.
-        assert!(
-            validate_latency(&good.replace("\"responses_ok\": 8", "\"responses_ok\": 7")).is_err()
-        );
+        assert!(validate(
+            &good.replacen("\"observations\": 8", "\"observations\": 7", 1),
+            8,
+            32
+        )
+        .is_err());
         // Break drift.live / drift.scored agreement.
-        assert!(validate_latency(&good.replace("\"scored\": 32", "\"scored\": 31")).is_err());
-        assert!(validate_latency("{}").is_err());
-        assert!(validate_latency("nonsense").is_err());
+        assert!(validate(&good.replace("\"scored\": 32", "\"scored\": 31"), 8, 32).is_err());
+        // Timing buckets that no longer sum to the observation count.
+        let (stages, _) = sample();
+        let server = server_stages_json(&stages);
+        validate_server_stages(&server, [8, 8, 32, 8, 8]).expect("consistent");
+        assert!(validate_server_stages(&server, [8, 8, 31, 8, 8]).is_err());
+        assert!(validate("{}", 8, 32).is_err());
+        assert!(validate("nonsense", 8, 32).is_err());
     }
 
     #[test]
-    fn validator_checks_client_latency_monotonicity() {
-        let (config, run, stages, drift, mut client) = sample();
-        client.p95 = 99.0;
-        let bad = render_latency("loadgen", &config, &run, &stages, &drift, &client);
-        assert!(validate_latency(&bad).is_err());
-        let zero = render_latency(
-            "survd",
-            &config,
-            &run,
-            &stages,
-            &drift,
-            &ClientLatency::zero(),
-        );
-        validate_latency(&zero).expect("all-zero client latency is valid");
-    }
-
-    #[test]
-    fn write_latency_creates_the_artifact() {
-        let (config, run, stages, drift, client) = sample();
-        let dir = std::env::temp_dir().join(format!("survdb-latency-{}", std::process::id()));
-        let path = write_latency(&dir, "loadgen", &config, &run, &stages, &drift, &client)
-            .expect("writes");
-        let text = std::fs::read_to_string(&path).expect("readable");
-        validate_latency(&text).expect("valid on disk");
+    fn written_serving_artifact_carries_the_stage_sections() {
+        let model = serving::fixture_model();
+        let run = serving::sample(&model);
+        let dir = std::env::temp_dir().join(format!("survd-stage-sections-{}", std::process::id()));
+        let path = write_serving(&dir, "loadgen", &ServerConfig::default(), &run).expect("writes");
+        let root = jsonv::parse(&std::fs::read_to_string(&path).expect("readable")).expect("json");
         std::fs::remove_dir_all(&dir).ok();
+        let det = field(&root, "deterministic").expect("deterministic");
+        let nondet = field(&root, "nondeterministic").expect("nondeterministic");
+        // The stage and drift sections reach disk exactly as rendered.
+        assert_eq!(field(det, "stages").unwrap(), &stages_json(&run.stages));
+        assert_eq!(field(det, "drift").unwrap(), &drift_json(&run.drift));
+        let observations = validate_stages(field(det, "stages").unwrap(), 8, 32).expect("valid");
+        validate_drift(field(det, "drift").unwrap(), 32).expect("valid");
+        validate_server_stages(field(nondet, "server_stages_ms").unwrap(), observations)
+            .expect("valid on disk");
     }
 
     #[test]

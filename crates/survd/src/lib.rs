@@ -38,31 +38,29 @@
 //!   batcher slot), and [`server::ServerHandle::shutdown`] which
 //!   drains every admitted request before returning.
 //! - [`client`] — the matching HTTP/1.1 client, shared by the
-//!   `loadgen` load generator and the loopback end-to-end tests.
-//! - [`retry`] — the client-side resilience policy: bounded 429-only
-//!   retries with seeded full-jitter backoff honoring `Retry-After`,
-//!   sleeping through an injectable [`retry::Sleeper`].
+//!   `loadgen` verification run and the loopback end-to-end tests.
 //! - [`chaos`] — the deterministic protocol fault injector (class ×
 //!   rate, splitmix64-keyed like `telemetry::faults`) and its socket
 //!   driver: slow-loris, mid-body resets, truncated/oversized/garbage
 //!   frames, stalled reads, malformed JSON — each contracted to a
 //!   typed server reaction.
-//! - [`artifact`] — `artifacts/serving.json` (`survdb-serving/v1`),
-//!   split deterministic/nondeterministic like every other artifact,
+//! - [`artifact`] — `artifacts/serving.json` (`survdb-serving/v2`),
 //!   produced by the `loadgen` binary and validated by
-//!   `artifact-check` in CI.
+//!   `artifact-check` in CI. The artifact keeps outcome counts,
+//!   per-stage observation counts and the drift histograms in its
+//!   deterministic section; daemon knobs and stage timings are
+//!   nondeterministic.
+//! - [`latency`] — the artifact's stage and drift sections. Each
+//!   request is stamped with a splitmix64-derived trace id (echoed
+//!   back as `x-trace-id`) and clocked through admit → queue-wait →
+//!   batch-wait → score → write; per-stage durations feed
+//!   `obs::sketch` streaming histograms exposed on `/metrics`, and
+//!   every scored probability feeds an `obs::DriftMonitor` seeded from
+//!   the training-time score histogram in `scoring.json`.
 //! - [`resilience`] — `artifacts/resilience.json`
 //!   (`survdb-resilience/v1`): per fault-class × rate outcome cells
 //!   plus hot-swap drill accounting, produced by the `chaossweep`
 //!   binary and validated by `artifact-check` in CI.
-//! - [`latency`] — the serving observability artifact:
-//!   `artifacts/latency.json` (`survdb-latency/v1`). Each request is
-//!   stamped with a splitmix64-derived trace id (echoed back as
-//!   `x-trace-id`) and clocked through admit → queue-wait →
-//!   batch-wait → score → write; per-stage durations feed
-//!   `obs::sketch` streaming histograms exposed on `/metrics`, and
-//!   every scored probability feeds an `obs::DriftMonitor` seeded
-//!   from the training-time score histogram in `scoring.json`.
 
 pub mod artifact;
 pub mod batcher;
@@ -73,28 +71,22 @@ pub mod http;
 pub mod latency;
 pub mod queue;
 pub mod resilience;
-pub mod retry;
 pub mod server;
 pub mod wire;
 
 pub use artifact::{
-    deterministic_serving_section, render_serving, validate_serving, write_serving, ServingCorpus,
-    ServingCounts, ServingRunConfig, ServingTiming, SERVING_FILE, SERVING_SCHEMA,
+    render_serving, validate_serving, write_serving, ServingCorpus, ServingCounts, ServingRun,
+    ServingRunConfig, SERVING_FILE, SERVING_SCHEMA,
 };
 pub use batcher::{BatchPolicy, BatcherCore};
 pub use chaos::{ChaosClass, ChaosPlan, Expect, Outcome};
 pub use client::{Client, Response};
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use latency::{
-    deterministic_latency_section, render_latency, stage_sketches, validate_latency, write_latency,
-    ClientLatency, LatencyRun, LATENCY_FILE, LATENCY_SCHEMA, STAGE_COUNT, STAGE_NAMES,
-    STAGE_SKETCHES,
-};
+pub use latency::{stage_sketches, STAGE_COUNT, STAGE_NAMES, STAGE_SKETCHES};
 pub use resilience::{
     deterministic_resilience_section, render_resilience, validate_resilience, write_resilience,
     CellOutcome, ReloadOutcome, ResilienceConfig, RESILIENCE_FILE, RESILIENCE_SCHEMA,
 };
-pub use retry::{RetryPolicy, Sleeper, ThreadSleeper};
 pub use server::{start, start_with_clock, ServerConfig, ServerHandle, StatsSnapshot};
 pub use wire::{
     parse_score_request, parse_score_response, render_reload_response, render_score_request,

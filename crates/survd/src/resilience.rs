@@ -38,8 +38,8 @@
 //! machine-checked in CI, not eyeballed.
 
 use obs::artifact::{
-    envelope, expect_float, expect_keys, expect_obj, expect_uint, field, validate_envelope,
-    write_artifact,
+    checked_sum, envelope, expect_float, expect_keys, expect_obj, expect_uint, field,
+    validate_envelope, write_artifact,
 };
 use obs::jsonv::JsonV;
 use serve::SavedModel;
@@ -287,7 +287,11 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         if sent == 0 {
             return Err(format!("{what}.sent must be nonzero"));
         }
-        if get("ok")? + get("shed")? + get("faulted")? + get("degraded")? != sent {
+        let answered = checked_sum(
+            [get("ok")?, get("shed")?, get("faulted")?, get("degraded")?],
+            &what,
+        )?;
+        if answered != sent {
             return Err(format!(
                 "{what}: ok + shed + faulted + degraded must equal sent"
             ));
@@ -307,7 +311,7 @@ pub fn validate_resilience(text: &str) -> Result<(), String> {
         "reload",
     )?;
     let get = |key: &str| expect_uint(field(reload, key)?, key);
-    if get("admitted")? + get("rejected")? != get("attempted")? {
+    if checked_sum([get("admitted")?, get("rejected")?], "reload")? != get("attempted")? {
         return Err("reload: admitted + rejected must equal attempted".to_string());
     }
     if get("generations")? == 0 {
@@ -437,6 +441,15 @@ mod tests {
         );
         // Break reload accounting.
         assert!(validate_resilience(&good.replace("\"admitted\": 2", "\"admitted\": 1")).is_err());
+        // Counts whose sum wraps around to the declared total.
+        let wrapped = good
+            .replace("\"admitted\": 2", &format!("\"admitted\": {}", 1u64 << 63))
+            .replace(
+                "\"rejected\": 2",
+                &format!("\"rejected\": {}", (1u64 << 63) + 4),
+            );
+        let err = validate_resilience(&wrapped).expect_err("reload counts overflow");
+        assert!(err.contains("overflows"), "{err}");
         // Drop a required key.
         assert!(validate_resilience(&good.replace("\"faulted\"", "\"broken\"")).is_err());
         assert!(validate_resilience("{}").is_err());

@@ -971,7 +971,7 @@ fn flush(shared: &Shared, core: &mut BatcherCore<Job>) {
         all_rows.extend(job.rows.iter().cloned());
     }
     // Queue-wait (push → pop) and batch-wait (pop → flush) close here,
-    // one observation per live job — the counting identity the latency
+    // one observation per live job — the counting identity the serving
     // artifact validator pins (observations == 200 responses).
     let flush_us = shared.clock.now_us();
     if obs::enabled() {

@@ -25,7 +25,6 @@ fn scratch(name: &str, text: &str) -> PathBuf {
 fn committed_artifacts_validate_by_their_schema() {
     for (file, schema) in [
         ("serving.json", survd::SERVING_SCHEMA),
-        ("latency.json", survd::LATENCY_SCHEMA),
         ("resilience.json", survd::RESILIENCE_SCHEMA),
         ("policy.json", bench::policyart::POLICY_SCHEMA),
     ] {
@@ -44,7 +43,7 @@ fn unknown_schema_and_mixed_lists_are_rejected() {
     assert!(err.contains("unknown schema"), "{err}");
     assert!(check_artifacts(&[scratch("unknown.json", &unknown)]).is_err());
 
-    let err = check_artifacts(&[committed("serving.json"), committed("latency.json")])
+    let err = check_artifacts(&[committed("serving.json"), committed("resilience.json")])
         .expect_err("mixed schemas");
     assert!(err.contains("differs"), "{err}");
 

@@ -494,9 +494,8 @@ fn frozen_clock_daemon_answers_a_lone_request_at_once() {
 }
 
 /// One fixed single-connection load run against a `workers`-wide
-/// daemon; returns the deterministic latency section and the full
-/// rendered artifact.
-fn latency_artifact_for(workers: usize) -> (String, String) {
+/// daemon; returns the rendered serving artifact.
+fn serving_artifact_for(workers: usize) -> String {
     let (model, corpus) = fixture();
     let q = model.meta.positive_fraction;
     let reference = serve::score_rows(&model.forest, corpus, q)
@@ -510,10 +509,9 @@ fn latency_artifact_for(workers: usize) -> (String, String) {
         drift_reference: Some(reference),
         ..ServerConfig::default()
     };
-    let latency_config = config.clone();
     let handle = survd::start(
         model.clone(),
-        config,
+        config.clone(),
         Some(std::sync::Arc::clone(&registry)),
     )
     .expect("start daemon");
@@ -532,39 +530,47 @@ fn latency_artifact_for(workers: usize) -> (String, String) {
         assert_eq!(response.status, 200);
     }
     let stats = handle.shutdown();
-    let drift = drift_monitor.snapshot();
     drop(obs_guard);
 
-    let run = survd::LatencyRun {
-        connections: 1,
-        rows_per_request: rows_per_request as u64,
-        requests_sent: requests as u64,
-        responses_ok: stats.score_ok,
-        rows_scored: stats.rows_scored,
+    let run = survd::ServingRun {
+        config: survd::ServingRunConfig {
+            connections: 1,
+            requests,
+            rows_per_request,
+        },
+        corpus: survd::ServingCorpus {
+            rows: corpus.len(),
+            seed: 11,
+        },
+        model,
+        counts: survd::ServingCounts {
+            requests_sent: requests as u64,
+            responses_ok: stats.score_ok,
+            responses_shed: stats.score_shed,
+            responses_error: 0,
+            rows_scored: stats.rows_scored,
+        },
+        stages: survd::stage_sketches(&registry.snapshot()),
+        drift: drift_monitor.snapshot(),
     };
-    let stages = survd::stage_sketches(&registry.snapshot());
-    let section = survd::deterministic_latency_section(&run, &stages, &drift);
-    let full = survd::render_latency(
-        "serving_e2e",
-        &latency_config,
-        &run,
-        &stages,
-        &drift,
-        &survd::ClientLatency::zero(),
-    );
-    (section, full)
+    survd::render_serving("serving_e2e", &config, &run)
 }
 
+/// The serving artifact's deterministic section — outcome counts,
+/// per-stage latency observation counts and drift — must not depend on
+/// the daemon's worker count; the knobs live only in `nondeterministic`.
 #[test]
 fn latency_deterministic_section_is_byte_identical_across_worker_counts() {
     let _guard = serialized();
-    let (one_a, full_one) = latency_artifact_for(1);
-    let (one_b, _) = latency_artifact_for(1);
-    let (eight, full_eight) = latency_artifact_for(8);
-    assert_eq!(one_a, one_b, "consecutive runs of the same config");
-    assert_eq!(one_a, eight, "1-worker vs 8-worker daemons");
-    survd::validate_latency(&full_one).expect("1-worker artifact is schema-valid");
-    survd::validate_latency(&full_eight).expect("8-worker artifact is schema-valid");
+    let full_one = serving_artifact_for(1);
+    let full_one_again = serving_artifact_for(1);
+    let full_eight = serving_artifact_for(8);
+    let section = |text: &str| obs::artifact::deterministic_section_of(text).expect("section");
+    let one = section(&full_one);
+    assert_eq!(one, section(&full_one_again), "consecutive runs");
+    assert_eq!(one, section(&full_eight), "1-worker vs 8-worker daemons");
+    survd::validate_serving(&full_one).expect("1-worker artifact is schema-valid");
+    survd::validate_serving(&full_eight).expect("8-worker artifact is schema-valid");
     assert_ne!(
         full_one, full_eight,
         "the worker knob lives in the nondeterministic section"
