@@ -2,7 +2,7 @@
 //! fixture-fleet dataset builder, one tuning grid, and one
 //! train-or-load path with persistence verification.
 //!
-//! `scored`, `survd`, and `loadgen` all need "a dataset
+//! `scored`, `survd`, `servecheck` and `perfbench` all need "a dataset
 //! from the fixture fleet" and "a `SavedModel`, either loaded from
 //! disk or trained-saved-reloaded-verified". Before this module each
 //! binary carried its own copy; now they share these definitions, so a

@@ -179,9 +179,9 @@ pub fn scoring_block(s: &serve::ScoreSummary) -> String {
     out
 }
 
-/// Plain-text block for a serving run (`loadgen`, or `survd` at
-/// drain): outcome counts, per-stage observation counts and sketch
-/// quantiles, and the drift monitor's reference-vs-live
+/// Plain-text block for a serving run (`servecheck`'s load phase, or
+/// `survd` at drain): outcome counts, per-stage observation counts and
+/// sketch quantiles, and the drift monitor's reference-vs-live
 /// positive-probability histograms with the TV divergence.
 pub fn serving_block(
     counts: &survd::ServingCounts,

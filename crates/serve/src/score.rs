@@ -344,8 +344,9 @@ pub fn score_rows(model: &RandomForest, rows: &[Vec<f64>], positive_fraction: f6
 /// probabilities are an independent traversal, so scoring a
 /// concatenation of requests is bitwise identical to scoring each
 /// request alone (the micro-batcher relies on this). `NaN` features
-/// are defined input — missing values take each node's default
-/// direction, exactly like the recursive walk.
+/// are defined input: `NaN` fails the kernel's single compare
+/// `!(value <= threshold)` and goes right, exactly like the recursive
+/// walk.
 ///
 /// # Panics
 ///

@@ -1,4 +1,5 @@
-//! The serving artifact: `artifacts/serving.json`.
+//! The serving artifact: `artifacts/serving.json`, written by the
+//! `servecheck` bench binary after its [`crate::verify::load`] run.
 //!
 //! Layout (schema `survdb-serving/v2`), mirroring the run-trace and
 //! scoring-artifact two-section convention:
@@ -93,7 +94,7 @@ pub struct ServingCorpus {
 }
 
 /// Deterministic outcome counts of a load run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingCounts {
     /// Requests the generator issued.
     pub requests_sent: u64,
@@ -429,7 +430,7 @@ pub(crate) mod tests {
     }
 
     fn render(run: &ServingRun) -> String {
-        render_serving("loadgen", &ServerConfig::default(), run)
+        render_serving("servecheck", &ServerConfig::default(), run)
     }
 
     #[test]
@@ -507,8 +508,13 @@ pub(crate) mod tests {
     fn write_serving_creates_the_artifact() {
         let model = fixture_model();
         let dir = std::env::temp_dir().join(format!("survdb-serving-{}", std::process::id()));
-        let path = write_serving(&dir, "loadgen", &ServerConfig::default(), &sample(&model))
-            .expect("writes");
+        let path = write_serving(
+            &dir,
+            "servecheck",
+            &ServerConfig::default(),
+            &sample(&model),
+        )
+        .expect("writes");
         let text = std::fs::read_to_string(&path).expect("readable");
         validate_serving(&text).expect("valid on disk");
         std::fs::remove_dir_all(&dir).ok();

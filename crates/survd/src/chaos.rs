@@ -18,8 +18,8 @@
 //!
 //! The [`drive`] function is the socket driver: it opens a fresh
 //! connection, perpetrates (at most) one fault chosen by the plan, and
-//! reports what came back. The chaossweep bench binary and the
-//! resilience e2e tests are built on it.
+//! reports what came back. [`crate::verify::sweep`], which the
+//! `servecheck` binary and the resilience e2e tests run, is built on it.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};

@@ -1,10 +1,10 @@
 //! A minimal HTTP/1.1 client for the daemon's loopback consumers: the
-//! `loadgen` binary and the serving end-to-end tests.
+//! [`crate::verify`] loops, `perfbench serve` and the end-to-end tests.
 //!
 //! Same dependency policy as the server side — hand-rolled over
 //! `std::net::TcpStream`, `Content-Length` framing only, keep-alive by
 //! default. One request at a time per connection (closed loop), which
-//! is exactly the shape the load generator drives.
+//! is exactly the shape [`crate::verify::load`] drives.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -362,7 +362,8 @@ mod tests {
         let model = serving::fixture_model();
         let run = serving::sample(&model);
         let dir = std::env::temp_dir().join(format!("survd-stage-sections-{}", std::process::id()));
-        let path = write_serving(&dir, "loadgen", &ServerConfig::default(), &run).expect("writes");
+        let path =
+            write_serving(&dir, "servecheck", &ServerConfig::default(), &run).expect("writes");
         let root = jsonv::parse(&std::fs::read_to_string(&path).expect("readable")).expect("json");
         std::fs::remove_dir_all(&dir).ok();
         let det = field(&root, "deterministic").expect("deterministic");

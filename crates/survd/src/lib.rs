@@ -37,15 +37,15 @@
 //!   deadline degradation (late work answered 503 before wasting a
 //!   batcher slot), and [`server::ServerHandle::shutdown`] which
 //!   drains every admitted request before returning.
-//! - [`client`] — the matching HTTP/1.1 client, shared by the
-//!   `loadgen` verification run and the loopback end-to-end tests.
+//! - [`client`] — the matching HTTP/1.1 client, shared by
+//!   [`verify`], `perfbench serve` and the loopback end-to-end tests.
 //! - [`chaos`] — the deterministic protocol fault injector (class ×
 //!   rate, splitmix64-keyed like `telemetry::faults`) and its socket
 //!   driver: slow-loris, mid-body resets, truncated/oversized/garbage
 //!   frames, stalled reads, malformed JSON — each contracted to a
 //!   typed server reaction.
 //! - [`artifact`] — `artifacts/serving.json` (`survdb-serving/v2`),
-//!   produced by the `loadgen` binary and validated by
+//!   produced by the `servecheck` binary's load phase and validated by
 //!   `artifact-check` in CI. The artifact keeps outcome counts,
 //!   per-stage observation counts and the drift histograms in its
 //!   deterministic section; daemon knobs and stage timings are
@@ -59,8 +59,12 @@
 //!   the training-time score histogram in `scoring.json`.
 //! - [`resilience`] — `artifacts/resilience.json`
 //!   (`survdb-resilience/v1`): per fault-class × rate outcome cells
-//!   plus hot-swap drill accounting, produced by the `chaossweep`
-//!   binary and validated by `artifact-check` in CI.
+//!   plus hot-swap drill accounting, produced by the `servecheck`
+//!   binary's sweep phase and validated by `artifact-check` in CI.
+//! - [`verify`] — the one serve verification path: the clean load run
+//!   and the chaos sweep, each 200 checked bitwise against offline
+//!   scoring. `servecheck` ships it and the serving and resilience
+//!   end-to-end tests run it.
 
 pub mod artifact;
 pub mod batcher;
@@ -72,6 +76,7 @@ pub mod latency;
 pub mod queue;
 pub mod resilience;
 pub mod server;
+pub mod verify;
 pub mod wire;
 
 pub use artifact::{

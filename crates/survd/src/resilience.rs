@@ -1,7 +1,8 @@
 //! The resilience artifact: `artifacts/resilience.json`.
 //!
-//! Written by the `chaossweep` bench binary after sweeping protocol
-//! fault class × rate against a live daemon. Layout (schema
+//! Written by the `servecheck` bench binary after
+//! [`crate::verify::sweep`] swept protocol fault class × rate against a
+//! live daemon. Layout (schema
 //! `survdb-resilience/v1`), following the repo's two-section artifact
 //! convention:
 //!
@@ -409,7 +410,7 @@ mod tests {
     fn rendered_resilience_validates() {
         let model = fixture_model();
         let (config, cells, reload) = sample();
-        let text = render_resilience("chaossweep", &config, &model, &cells, &reload, 12.5);
+        let text = render_resilience("servecheck", &config, &model, &cells, &reload, 12.5);
         validate_resilience(&text).expect("schema-valid");
         assert!(text.contains("\"garbage-frame\""));
         assert!(text.contains("\"generations\": 3"));
@@ -428,7 +429,7 @@ mod tests {
     fn validator_rejects_drift() {
         let model = fixture_model();
         let (config, cells, reload) = sample();
-        let good = render_resilience("chaossweep", &config, &model, &cells, &reload, 12.5);
+        let good = render_resilience("servecheck", &config, &model, &cells, &reload, 12.5);
         assert!(
             validate_resilience(&good.replace(RESILIENCE_SCHEMA, "survdb-resilience/v2")).is_err()
         );
@@ -461,7 +462,7 @@ mod tests {
         let model = fixture_model();
         let (config, cells, reload) = sample();
         let dir = std::env::temp_dir().join(format!("survdb-resilience-{}", std::process::id()));
-        let path = write_resilience(&dir, "chaossweep", &config, &model, &cells, &reload, 1.0)
+        let path = write_resilience(&dir, "servecheck", &config, &model, &cells, &reload, 1.0)
             .expect("writes");
         let text = std::fs::read_to_string(&path).expect("readable");
         validate_resilience(&text).expect("valid on disk");

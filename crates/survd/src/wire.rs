@@ -147,7 +147,7 @@ pub fn parse_score_request(
     Ok(ScoreRequest { rows })
 }
 
-/// Renders a `/score` request body (the loadgen client side).
+/// Renders a `/score` request body (the client side).
 pub fn render_score_request(rows: &[Vec<f64>]) -> String {
     JsonV::obj(vec![(
         "rows",
@@ -186,8 +186,8 @@ pub fn render_score_response(generation: u64, threshold: f64, results: &[RowScor
     .render()
 }
 
-/// Parses a `/score` response body — the loadgen client side and the
-/// loopback tests.
+/// Parses a `/score` response body — the client side: [`crate::verify`]
+/// and the loopback tests.
 pub fn parse_score_response(text: &str) -> Result<ScoreResponse, String> {
     let root = jsonv::parse(text)?;
     match root.get("schema") {

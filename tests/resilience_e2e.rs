@@ -17,9 +17,11 @@
 //!    and the batcher stalled, late jobs shed with 503 + `Retry-After`
 //!    instead of wasting scoring slots, and the daemon recovers as
 //!    soon as the stall clears.
-//! 5. **Sweep determinism** — the chaos outcome ledger for a fixed
-//!    seed renders a byte-identical deterministic artifact section
-//!    across a 1-worker and an 8-worker daemon.
+//! 5. **Sweep determinism** — the chaos outcome ledger of a
+//!    `survd::verify::sweep` run (the loop `servecheck` ships) for a
+//!    fixed seed renders a byte-identical deterministic artifact
+//!    section across a 1-worker and an 8-worker daemon, and an
+//!    expectation one ULP off fails the sweep.
 //! 6. **Hostile bodies** — a body nested far past the parser's depth
 //!    limit and one long string, each just under the body cap, get a
 //!    4xx promptly and the daemon keeps serving correct 200s.
@@ -554,9 +556,27 @@ fn deadline_sheds_late_work_with_503_and_recovers() {
     assert_eq!(stats.score_unavailable, 0);
 }
 
-/// Runs a miniature chaos sweep (3 classes x 1 rate, sequential) and
-/// returns the rendered deterministic artifact section.
-fn mini_sweep(workers: usize, queue: usize, seed: u64) -> String {
+/// The miniature sweep grid: a clean cell and four classes at rate
+/// 0.5, so one reload drill (and its two probes) runs after the fifth.
+const MINI_GRID: [(Option<ChaosClass>, f64); 5] = [
+    (None, 0.0),
+    (Some(ChaosClass::TruncatedFrame), 0.5),
+    (Some(ChaosClass::MalformedJson), 0.5),
+    (Some(ChaosClass::GarbageFrame), 0.5),
+    (Some(ChaosClass::OversizedFrame), 0.5),
+];
+
+/// Exchanges per miniature sweep cell.
+const MINI_REQUESTS: usize = 8;
+
+/// Runs [`MINI_GRID`] through `survd::verify::sweep` against a
+/// `workers`-wide daemon with admission capacity `queue`.
+fn run_mini_sweep(
+    workers: usize,
+    queue: usize,
+    seed: u64,
+    expected: &[RowScore],
+) -> (Vec<survd::CellOutcome>, survd::ReloadOutcome, u64) {
     let (model, corpus) = fixture();
     let config = ServerConfig {
         workers,
@@ -568,60 +588,76 @@ fn mini_sweep(workers: usize, queue: usize, seed: u64) -> String {
         },
         ..ServerConfig::default()
     };
-    let max_body = config.http.max_body_bytes;
     let handle = survd::start(model.clone(), config, None).expect("start daemon");
-    let addr = handle.addr();
-
-    let classes = [
-        None,
-        Some(ChaosClass::TruncatedFrame),
-        Some(ChaosClass::MalformedJson),
-    ];
-    let requests = 8u64;
-    let mut cells = Vec::new();
-    for class in classes {
-        let plan = match class {
-            None => ChaosPlan::none(seed),
-            Some(c) => ChaosPlan::single(c, 0.5, seed),
-        };
-        let mut cell = survd::CellOutcome {
-            class: class.map_or("none".to_string(), |c| c.name().to_string()),
-            rate: if class.is_some() { 0.5 } else { 0.0 },
-            sent: requests,
-            ok: 0,
-            shed: 0,
-            faulted: 0,
-            degraded: 0,
-            mismatches: 0,
-        };
-        for ordinal in 0..requests {
-            let idx = ordinal as usize % corpus.len();
-            let body = survd::render_score_request(&[corpus[idx].clone()]);
-            match chaos::drive(addr, &plan, ordinal, &body, max_body + 1, 5_000) {
-                Outcome::Response { status: 200, .. } => cell.ok += 1,
-                Outcome::Response { status: 429, .. } => cell.shed += 1,
-                Outcome::Response { status: 503, .. } => cell.degraded += 1,
-                Outcome::Response { .. } | Outcome::NoResponse => cell.faulted += 1,
-                Outcome::Transport(e) => panic!("transport failure: {e}"),
-            }
-        }
-        cells.push(cell);
-    }
+    let outcome = survd::verify::sweep(
+        &handle,
+        model,
+        corpus,
+        expected,
+        &MINI_GRID,
+        MINI_REQUESTS,
+        seed,
+    );
     handle.shutdown();
+    outcome
+}
 
-    let config = survd::ResilienceConfig {
-        requests_per_cell: requests as usize,
+fn mini_config(workers: usize, queue: usize, seed: u64) -> survd::ResilienceConfig {
+    survd::ResilienceConfig {
+        requests_per_cell: MINI_REQUESTS,
         seed,
         workers,
         queue_capacity: queue,
-    };
-    let reload = survd::ReloadOutcome {
-        attempted: 0,
-        admitted: 0,
-        rejected: 0,
-        generations: 1,
-    };
+    }
+}
+
+/// Runs the miniature sweep, which must pass, and returns the rendered
+/// deterministic artifact section.
+fn mini_sweep(workers: usize, queue: usize, seed: u64) -> String {
+    let (model, corpus) = fixture();
+    let (cells, reload, violations) =
+        run_mini_sweep(workers, queue, seed, &offline_scores(model, corpus));
+    assert_eq!(violations, 0, "{cells:?} {reload:?}");
+    let config = mini_config(workers, queue, seed);
     survd::deterministic_resilience_section(&config, model, &cells, &reload)
+}
+
+/// The sweep's bitwise check cannot pass vacuously: an expectation one
+/// ULP off on a single row is counted as a mismatch wherever that row
+/// comes back in a 200, the post-verdict probes catch it too, and the
+/// artifact refuses to validate.
+#[test]
+fn sweep_counts_a_one_ulp_divergence_as_a_failure() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let mut expected = offline_scores(model, corpus);
+    expected[0].positive = f64::from_bits(expected[0].positive.to_bits() + 1);
+    let (cells, reload, violations) = run_mini_sweep(2, 64, 0x5EED, &expected);
+    // Row 0 rides on ordinal 0 of each cell; the clean cell answers it.
+    assert_eq!(cells[0].mismatches, 1);
+    let mismatches: u64 = cells.iter().map(|c| c.mismatches).sum();
+    // The reload verdicts themselves were right.
+    assert_eq!(
+        reload,
+        survd::ReloadOutcome {
+            attempted: 2,
+            admitted: 1,
+            rejected: 1,
+            generations: 2,
+        }
+    );
+    // Both probes carry row 0: each is one more violation.
+    assert_eq!(violations, mismatches + 2);
+    let text = survd::render_resilience(
+        "resilience_e2e",
+        &mini_config(2, 64, 0x5EED),
+        model,
+        &cells,
+        &reload,
+        0.0,
+    );
+    let err = survd::validate_resilience(&text).expect_err("a mismatch fails the artifact");
+    assert!(err.contains("mismatches"), "{err}");
 }
 
 #[test]

@@ -12,6 +12,10 @@
 //! 3. **Graceful drain** — shutdown scores and answers every admitted
 //!    request before returning, even from a paused backlog.
 //!
+//! The serving-artifact tests drive `survd::verify::load`, the loop
+//! `servecheck` ships, and show its bitwise check failing a run whose
+//! expectation is one ULP off.
+//!
 //! Tests share the process-global forest thread limit and the obs
 //! registry slot, so they serialize on one mutex.
 
@@ -493,22 +497,39 @@ fn frozen_clock_daemon_answers_a_lone_request_at_once() {
     assert_eq!((stats.score_ok, stats.batches), (1, 1));
 }
 
-/// One fixed single-connection load run against a `workers`-wide
-/// daemon; returns the rendered serving artifact.
-fn serving_artifact_for(workers: usize) -> String {
+/// Offline per-row scores of the fixture corpus, in wire form.
+fn offline_scores() -> Vec<RowScore> {
+    let (model, corpus) = fixture();
+    serve::score_rows(&model.forest, corpus, model.meta.positive_fraction)
+        .rows
+        .iter()
+        .map(RowScore::from_scored)
+        .collect()
+}
+
+/// A drift-monitored daemon over the fixture model, `workers` wide.
+fn drift_config(workers: usize) -> ServerConfig {
     let (model, corpus) = fixture();
     let q = model.meta.positive_fraction;
-    let reference = serve::score_rows(&model.forest, corpus, q)
-        .summary()
-        .histogram;
-    let registry = std::sync::Arc::new(obs::Registry::new());
-    let obs_guard = registry.install();
-    let config = ServerConfig {
+    ServerConfig {
         workers,
         queue_capacity: 64,
-        drift_reference: Some(reference),
+        drift_reference: Some(
+            serve::score_rows(&model.forest, corpus, q)
+                .summary()
+                .histogram,
+        ),
         ..ServerConfig::default()
-    };
+    }
+}
+
+/// One fixed single-connection `survd::verify::load` run against a
+/// `workers`-wide daemon; returns the rendered serving artifact.
+fn serving_artifact_for(workers: usize) -> String {
+    let (model, corpus) = fixture();
+    let registry = std::sync::Arc::new(obs::Registry::new());
+    let obs_guard = registry.install();
+    let config = drift_config(workers);
     let handle = survd::start(
         model.clone(),
         config.clone(),
@@ -517,43 +538,50 @@ fn serving_artifact_for(workers: usize) -> String {
     .expect("start daemon");
     let drift_monitor = handle.drift_monitor().expect("drift reference was seeded");
 
-    let requests = 12usize;
-    let rows_per_request = 3usize;
-    let mut client = connect(handle.addr());
-    for i in 0..requests {
-        let rows: Vec<Vec<f64>> = (0..rows_per_request)
-            .map(|j| corpus[(i * rows_per_request + j) % corpus.len()].clone())
-            .collect();
-        let response = client
-            .score(&survd::render_score_request(&rows))
-            .expect("score request");
-        assert_eq!(response.status, 200);
-    }
-    let stats = handle.shutdown();
+    let shape = survd::ServingRunConfig {
+        connections: 1,
+        requests: 12,
+        rows_per_request: 3,
+    };
+    let outcome = survd::verify::load(&handle, corpus, &offline_scores(), model.threshold(), shape);
+    handle.shutdown();
     drop(obs_guard);
+    assert_eq!(outcome.violations, 0, "{outcome:?}");
 
     let run = survd::ServingRun {
-        config: survd::ServingRunConfig {
-            connections: 1,
-            requests,
-            rows_per_request,
-        },
+        config: shape,
         corpus: survd::ServingCorpus {
             rows: corpus.len(),
             seed: 11,
         },
         model,
-        counts: survd::ServingCounts {
-            requests_sent: requests as u64,
-            responses_ok: stats.score_ok,
-            responses_shed: stats.score_shed,
-            responses_error: 0,
-            rows_scored: stats.rows_scored,
-        },
+        counts: outcome.counts,
         stages: survd::stage_sketches(&registry.snapshot()),
         drift: drift_monitor.snapshot(),
     };
     survd::render_serving("serving_e2e", &config, &run)
+}
+
+/// The load run's bitwise check cannot pass vacuously: an expectation
+/// one ULP off on a single row fails the run, though every request
+/// still answers 200 and the daemon-side checks hold.
+#[test]
+fn load_counts_a_one_ulp_divergence_as_a_failure() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let mut expected = offline_scores();
+    expected[0].positive = f64::from_bits(expected[0].positive.to_bits() + 1);
+    let handle = survd::start(model.clone(), drift_config(4), None).expect("start daemon");
+    let shape = survd::ServingRunConfig {
+        connections: 2,
+        requests: 8,
+        rows_per_request: 3,
+    };
+    let outcome = survd::verify::load(&handle, corpus, &expected, model.threshold(), shape);
+    handle.shutdown();
+    assert_eq!(outcome.counts.responses_ok, 8, "every request answers 200");
+    assert_eq!(outcome.mismatches, 1, "only request 0 carries row 0");
+    assert_eq!(outcome.violations, 1, "the mismatch alone fails the run");
 }
 
 /// The serving artifact's deterministic section — outcome counts,
