@@ -16,10 +16,9 @@
 //! of `survd::verify` over them:
 //!
 //! - **Load.** A daemon on `ServerConfig::default()`'s queue and batch
-//!   policy, its drift monitor seeded from `<out>/scoring.json`'s
-//!   training histogram when present (else the corpus's own offline
-//!   histogram), takes 200 requests × 4 rows over 4 connections. After
-//!   it drains, the stage sketches and drift histograms go into
+//!   policy, its drift monitor seeded from the corpus's own offline
+//!   score histogram, takes 200 requests × 4 rows over 4 connections.
+//!   After it drains, the stage sketches and drift histograms go into
 //!   `serving.json` (`survdb-serving/v2`). No stopwatch: `perfbench
 //!   serve` is the open-loop latency measurement.
 //! - **Sweep.** A daemon with a tight stall budget (12 reads × 25 ms)
@@ -133,29 +132,14 @@ fn main() {
         data.feature_count()
     );
 
-    // Load phase. Drift reference: the training-time score histogram in
-    // scoring.json (what a production daemon is seeded from), else the
-    // offline summary of this very corpus, whose divergence is zero.
-    let scoring_path = options.out.join(serve::SCORING_FILE);
-    let drift_reference = match std::fs::read_to_string(&scoring_path)
-        .ok()
-        .and_then(|text| serve::training_score_histogram(&text).ok())
-    {
-        Some(histogram) => {
-            println!(
-                "[servecheck] drift reference: training histogram from {}",
-                scoring_path.display()
-            );
-            histogram
-        }
-        None => {
-            println!("[servecheck] drift reference: offline corpus histogram");
-            offline.summary().histogram
-        }
-    };
+    // Load phase. Drift reference: the offline score histogram of this
+    // very corpus, never a file another run left in `--out`, so the
+    // drift section depends on the flags alone. The live histogram
+    // covers the 200 × 4 rows the load run samples from the corpus, so
+    // its divergence is small but not zero.
     let config = ServerConfig {
         workers: options.workers,
-        drift_reference: Some(drift_reference),
+        drift_reference: Some(offline.summary().histogram),
         ..ServerConfig::default()
     };
     let handle = survd::start(model.clone(), config.clone(), Some(Arc::clone(&registry)))

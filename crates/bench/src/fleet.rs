@@ -272,7 +272,7 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
 /// shard regardless of total fleet size.
 pub fn run_fleetbench(options: &FleetBenchOptions) -> FleetReport {
     let start = Instant::now();
-    let policy = RecoveryPolicy::default();
+    let policy = RecoveryPolicy;
     let fault_plan = (options.fault_rate > 0.0).then(|| FaultPlan {
         drop_size: options.fault_rate,
         duplicate: options.fault_rate / 2.0,

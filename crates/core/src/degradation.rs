@@ -16,7 +16,7 @@ use forest::ClassificationScores;
 use obs::jsonv::push_f64;
 use telemetry::{
     reconstruct_records_lenient, Census, EventStream, FaultClass, FaultInjector, FaultPlan,
-    FaultSummary, Fleet, FleetConfig, IngestReport, RecoveryPolicy, RegionConfig,
+    FaultSummary, Fleet, FleetConfig, IngestReport, RegionConfig,
 };
 
 /// Configuration of a degradation sweep.
@@ -31,8 +31,6 @@ pub struct DegradationConfig {
     pub fault_rates: Vec<f64>,
     /// Fault classes to sweep.
     pub classes: Vec<FaultClass>,
-    /// Recovery policy used for every ingest, clean baseline included.
-    pub policy: RecoveryPolicy,
     /// The §5 protocol configuration shared by every cell.
     pub experiment: ExperimentConfig,
 }
@@ -44,7 +42,6 @@ impl Default for DegradationConfig {
             seed: 2018,
             fault_rates: vec![0.05, 0.15, 0.30],
             classes: FaultClass::ALL.to_vec(),
-            policy: RecoveryPolicy::default(),
             // Two repetitions without tuning keep the full
             // (classes × rates) sweep tractable while preserving the
             // protocol's split/train/score structure.
@@ -135,7 +132,7 @@ pub fn run_degradation_sweep(
 
     // Clean baseline goes through the same lenient path as the cells
     // so the comparison isolates the faults, not the ingest mode.
-    let (clean_records, clean_report) = reconstruct_records_lenient(&stream, &config.policy);
+    let (clean_records, clean_report) = reconstruct_records_lenient(&stream);
     debug_assert!(clean_report.is_clean(), "clean stream needed repairs");
     let clean_fleet = recovered_fleet(&fleet, clean_records);
     let baseline_result = experiment.try_run(&Census::new(&clean_fleet), None)?;
@@ -154,7 +151,7 @@ pub fn run_degradation_sweep(
         let (class, rate) = grid[unit];
         let injector = FaultInjector::new(FaultPlan::single(class, rate, config.seed));
         let (faulted, faults) = injector.inject(&stream);
-        let (records, ingest) = reconstruct_records_lenient(&faulted, &config.policy);
+        let (records, ingest) = reconstruct_records_lenient(&faulted);
         let cell_fleet = recovered_fleet(&fleet, records);
         let scores = experiment
             .try_run(&Census::new(&cell_fleet), None)

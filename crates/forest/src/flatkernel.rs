@@ -32,11 +32,9 @@
 //! (level-synchronous, so the independent per-row chains pipeline)
 //! while its nodes stay hot across the tile, and rows that reach a
 //! leaf compact out of a *live list* so retired rows cost nothing on
-//! deeper levels. [`ForestKernel::score_tile_into`] consumes a
-//! pre-gathered feature-major tile (the serving layer fills it with
-//! one memcpy per feature column); [`ForestKernel::score_block_into`]
-//! accepts row-major input and transposes each tile into scratch
-//! first.
+//! deeper levels. [`ForestKernel::score_tile_into`], the one scoring
+//! entry point, consumes a pre-gathered feature-major tile (the
+//! serving layer fills it with one memcpy per feature column).
 //!
 //! **Parity.** Per row, leaf distributions accumulate in ascending
 //! tree order and divide by the tree count last — the exact f64
@@ -86,27 +84,22 @@ impl KernelStats {
 
 /// Reusable per-worker traversal scratch: the per-row node cursors of
 /// the current tile. Construct once per worker and pass to every
-/// [`ForestKernel::score_block_into`] call — the hot loop then allocates
+/// [`ForestKernel::score_tile_into`] call — the hot loop then allocates
 /// nothing.
 #[derive(Debug)]
 pub struct KernelScratch {
     cursors: Vec<u32>,
     /// Rows of the current tile still walking the current tree.
     live: Vec<u32>,
-    /// Column-major (feature-major) copy of the current tile, stride
-    /// [`ROW_TILE`]. Grown on first use — the per-tile transpose then
-    /// allocates nothing.
-    tile: Vec<f64>,
 }
 
 impl KernelScratch {
-    /// A scratch sized for [`ROW_TILE`]-row tiles (the maximum any
-    /// block call uses).
+    /// A scratch sized for [`ROW_TILE`]-row tiles, the largest tile
+    /// [`ForestKernel::score_tile_into`] accepts.
     pub fn new() -> KernelScratch {
         KernelScratch {
             cursors: vec![0; ROW_TILE],
             live: vec![0; ROW_TILE],
-            tile: Vec::new(),
         }
     }
 }
@@ -243,13 +236,12 @@ impl ForestKernel {
         debug_assert_eq!(prob_run, flat.leaf_probabilities.len());
     }
 
-    /// Verifies the layout invariants the unchecked hot loops rely on
-    /// (see [`ForestKernel::score_block_into`]): every stored child
-    /// index is a valid node slot, every feature index is in range, and
-    /// every leaf's distribution offset stays inside
-    /// `leaf_probabilities`. Runs once per build — `O(nodes)` next to
-    /// an `O(nodes)` construction — so traversal never needs a bounds
-    /// check.
+    /// Verifies the layout invariants the unchecked hot loop relies on
+    /// (see `traverse_tile`): every stored child index is a valid node
+    /// slot, every feature index is in range, and every leaf's
+    /// distribution offset stays inside `leaf_probabilities`. Runs once
+    /// per build — `O(nodes)` next to an `O(nodes)` construction — so
+    /// traversal never needs a bounds check.
     fn validate_layout(&self) {
         let n = self.nodes.len();
         assert_eq!(self.leaf_off.len(), n);
@@ -297,131 +289,6 @@ impl ForestKernel {
         self.nodes.len()
     }
 
-    /// One arithmetic node step: never branches on the outcome.
-    /// `idx` must be a valid node slot and `row` must have
-    /// `feature_count` entries (checked at the public entry points;
-    /// `validate_layout` pins every stored child and feature index in
-    /// range at build time, so the loads need no bounds checks).
-    #[inline(always)]
-    fn step(&self, idx: usize, row: &[f64]) -> u32 {
-        // SAFETY: `idx` is a root or a stored child index and `row`
-        // has `feature_count` entries — `validate_layout` (run at
-        // every build) keeps all of them in bounds.
-        unsafe {
-            let node = self.nodes.get_unchecked(idx);
-            let value = *row.get_unchecked(node.feature as usize);
-            let right = goes_right(value, node.threshold) as u32;
-            *node.kids.get_unchecked(right as usize)
-        }
-    }
-
-    /// Branchless single-row scoring: averaged class probabilities
-    /// into `out`. Bitwise-identical to
-    /// `RandomForest::predict_proba`. Returns the node steps taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != feature_count` or
-    /// `out.len() != class_count`.
-    pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) -> u64 {
-        assert_eq!(row.len(), self.feature_count, "row arity mismatch");
-        assert_eq!(out.len(), self.class_count, "output arity mismatch");
-        out.fill(0.0);
-        let mut steps = 0u64;
-        for (&root, &leaf_start) in self.roots.iter().zip(&self.leaf_start) {
-            let mut idx = root;
-            while idx < leaf_start {
-                idx = self.step(idx as usize, row);
-                steps += 1;
-            }
-            let off = self.leaf_off[idx as usize] as usize;
-            for (acc, p) in out
-                .iter_mut()
-                .zip(&self.leaf_probabilities[off..off + self.class_count])
-            {
-                *acc += p;
-            }
-        }
-        let nt = self.tree_count() as f64;
-        for acc in out.iter_mut() {
-            *acc /= nt;
-        }
-        steps
-    }
-
-    /// Branchless single-row scoring, allocating the output.
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.class_count];
-        self.predict_proba_into(row, &mut out);
-        out
-    }
-
-    /// Cache-blocked batch scoring: `n_rows` rows stored row-major in
-    /// `rows` (`n_rows × feature_count`), averaged distributions
-    /// written row-major to `out` (`n_rows × class_count`).
-    ///
-    /// Rows advance in [`ROW_TILE`]-sized tiles; each tile is
-    /// transposed feature-major into scratch, then every tree walks
-    /// all rows one level at a time (level-synchronous), so the
-    /// tree's nodes stay cache-hot across the tile. The hot loop
-    /// performs no allocation — `scratch` carries the only mutable
-    /// traversal state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer shapes disagree with `n_rows` and the
-    /// kernel's arities.
-    pub fn score_block_into(
-        &self,
-        rows: &[f64],
-        n_rows: usize,
-        scratch: &mut KernelScratch,
-        out: &mut [f64],
-    ) -> KernelStats {
-        let nf = self.feature_count;
-        let cc = self.class_count;
-        assert_eq!(rows.len(), n_rows * nf, "row buffer shape mismatch");
-        assert_eq!(out.len(), n_rows * cc, "output buffer shape mismatch");
-        let mut stats = KernelStats::default();
-
-        if scratch.tile.len() < nf * ROW_TILE {
-            scratch.tile.resize(nf * ROW_TILE, 0.0);
-        }
-        let KernelScratch {
-            cursors: scratch_cursors,
-            live: scratch_live,
-            tile,
-        } = scratch;
-
-        let mut tile_lo = 0usize;
-        while tile_lo < n_rows {
-            let tile_len = ROW_TILE.min(n_rows - tile_lo);
-            stats.row_tiles += 1;
-            let tile_rows = &rows[tile_lo * nf..(tile_lo + tile_len) * nf];
-            let tile_out = &mut out[tile_lo * cc..(tile_lo + tile_len) * cc];
-            // Transpose the tile feature-major (stride ROW_TILE): at
-            // shallow levels every live row probes the same feature,
-            // so the value loads of one pass land on a handful of
-            // consecutive cache lines instead of one line per row.
-            //
-            // SAFETY: `tile` holds `nf * ROW_TILE` slots, `tile_rows`
-            // holds `tile_len * nf`, and `r < tile_len <= ROW_TILE`,
-            // `f < nf`.
-            for r in 0..tile_len {
-                for f in 0..nf {
-                    unsafe {
-                        *tile.get_unchecked_mut(f * ROW_TILE + r) =
-                            *tile_rows.get_unchecked(r * nf + f);
-                    }
-                }
-            }
-            stats.node_steps +=
-                self.traverse_tile(tile, tile_len, scratch_cursors, scratch_live, tile_out);
-            tile_lo += tile_len;
-        }
-        stats
-    }
-
     /// Scores one already-gathered feature-major tile — the zero-copy
     /// entry point for callers that own columnar data (the serving
     /// layer's dataset path fills the tile with one memcpy per
@@ -432,8 +299,8 @@ impl ForestKernel {
     /// (`tile[f * ROW_TILE + r]` is feature `f` of row `r`); column
     /// slots at `tile_len..ROW_TILE` are never read. The averaged
     /// distributions for rows `0..tile_len` are written row-major to
-    /// `out`, bitwise identical to [`ForestKernel::score_block_into`] over
-    /// the same rows.
+    /// `out`, bitwise identical to `RandomForest::predict_proba` row by
+    /// row.
     ///
     /// # Panics
     ///
@@ -471,10 +338,8 @@ impl ForestKernel {
         }
     }
 
-    /// The shared per-tile traversal behind
-    /// [`ForestKernel::score_block_into`] and
-    /// [`ForestKernel::score_tile_into`]: walks every tree over one
-    /// feature-major tile and writes the averaged distributions for
+    /// The per-tile traversal behind [`ForestKernel::score_tile_into`]:
+    /// walks every tree over one feature-major tile and writes the averaged distributions for
     /// rows `0..tile_len` to `tile_out`. Returns the internal-node
     /// steps taken.
     ///
@@ -515,7 +380,10 @@ impl ForestKernel {
                 // so `idx`, `node.kids[right]`, and
                 // `feature * ROW_TILE + r` stay in bounds; every `r`
                 // in the live list is `< tile_len`, bounding the
-                // cursor and live-list accesses.
+                // cursor and live-list accesses. Unchecked because
+                // checks cost: with checked indexing here (validation
+                // and assertions kept), `perfbench score` lost 16-22%
+                // of its throughput on a 2-core host (DESIGN.md §13).
                 if root >= leaf_start {
                     // Leaf-only tree: every row lands on the root.
                     cursors.fill(root);
@@ -621,45 +489,61 @@ mod tests {
         (d, model)
     }
 
+    /// Scores `rows` through [`ForestKernel::score_tile_into`] one
+    /// [`ROW_TILE`]-row tile at a time, gathering each tile
+    /// feature-major first as the serving layer does, and checks every
+    /// row bitwise against the recursive `RandomForest::predict_proba`.
+    fn assert_tiles_match_recursive(
+        kernel: &ForestKernel,
+        model: &RandomForest,
+        rows: &[Vec<f64>],
+    ) -> KernelStats {
+        let cc = kernel.class_count();
+        let mut tile = vec![0.0; kernel.feature_count() * ROW_TILE];
+        let mut scratch = KernelScratch::new();
+        let mut stats = KernelStats::default();
+        for (t, chunk) in rows.chunks(ROW_TILE).enumerate() {
+            for (r, row) in chunk.iter().enumerate() {
+                for (f, &v) in row.iter().enumerate() {
+                    tile[f * ROW_TILE + r] = v;
+                }
+            }
+            let mut out = vec![0.0; chunk.len() * cc];
+            stats.merge(kernel.score_tile_into(&tile, chunk.len(), &mut scratch, &mut out));
+            for (r, row) in chunk.iter().enumerate() {
+                let got: Vec<u64> = out[r * cc..(r + 1) * cc]
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                let want: Vec<u64> = model
+                    .predict_proba(row)
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(got, want, "row {} of {}", t * ROW_TILE + r, rows.len());
+            }
+        }
+        stats
+    }
+
+    fn rows_of(data: &Dataset, n: usize) -> Vec<Vec<f64>> {
+        (0..n).map(|i| data.row(i)).collect()
+    }
+
     #[test]
     fn branchless_matches_recursive_bitwise() {
         let (data, model) = fixture(11, 7);
         let kernel = ForestKernel::from_forest(&model);
         assert_eq!(kernel.tree_count(), 11);
-        for i in 0..data.len() {
-            let row = data.row(i);
-            assert_eq!(
-                kernel.predict_proba(&row),
-                model.predict_proba(&row),
-                "row {i}"
-            );
-        }
-    }
+        assert_tiles_match_recursive(&kernel, &model, &rows_of(&data, data.len()));
 
-    #[test]
-    fn blocked_matches_branchless_bitwise() {
+        // Batch sizes straddling the tile size, including ragged tails.
         let (data, model) = fixture(9, 21);
         let kernel = ForestKernel::from_forest(&model);
-        // Batch sizes straddling the tile size, including ragged tails.
         for n in [1usize, 7, 63, 64, 65, 200] {
-            let n = n.min(data.len());
-            let mut rows = Vec::with_capacity(n * kernel.feature_count());
-            for i in 0..n {
-                rows.extend(data.row(i));
-            }
-            let mut out = vec![0.0; n * kernel.class_count()];
-            let mut scratch = KernelScratch::new();
-            let stats = kernel.score_block_into(&rows, n, &mut scratch, &mut out);
+            let stats = assert_tiles_match_recursive(&kernel, &model, &rows_of(&data, n));
             assert!(stats.node_steps > 0);
             assert_eq!(stats.row_tiles as usize, n.div_ceil(ROW_TILE));
-            for i in 0..n {
-                let expected = kernel.predict_proba(&data.row(i));
-                assert_eq!(
-                    &out[i * kernel.class_count()..(i + 1) * kernel.class_count()],
-                    expected.as_slice(),
-                    "row {i} of {n}"
-                );
-            }
         }
     }
 
@@ -675,19 +559,10 @@ mod tests {
             vec![f64::NAN, f64::NAN, f64::NAN, f64::NAN],
             vec![0.1, 0.9, f64::NAN, 0.0],
         ];
+        assert_tiles_match_recursive(&kernel, &model, &patterns);
+        // One row per tile too: a lone row is its own tile.
         for row in &patterns {
-            assert_eq!(kernel.predict_proba(row), model.predict_proba(row));
-        }
-        // Blocked path agrees too.
-        let n = patterns.len();
-        let flat: Vec<f64> = patterns.iter().flatten().copied().collect();
-        let mut out = vec![0.0; n * kernel.class_count()];
-        kernel.score_block_into(&flat, n, &mut KernelScratch::new(), &mut out);
-        for (i, row) in patterns.iter().enumerate() {
-            assert_eq!(
-                &out[i * kernel.class_count()..(i + 1) * kernel.class_count()],
-                model.predict_proba(row).as_slice()
-            );
+            assert_tiles_match_recursive(&kernel, &model, std::slice::from_ref(row));
         }
     }
 
@@ -710,9 +585,7 @@ mod tests {
         }
         boundary_rows.push(vec![0.0, -0.0, 0.0, -0.0]);
         boundary_rows.push(vec![-0.0, 0.0, -0.0, 0.0]);
-        for row in &boundary_rows {
-            assert_eq!(kernel.predict_proba(row), model.predict_proba(row));
-        }
+        assert_tiles_match_recursive(&kernel, &model, &boundary_rows);
     }
 
     #[test]
@@ -729,9 +602,9 @@ mod tests {
         };
         let model = RandomForest::fit(&d, &params, 5);
         let kernel = ForestKernel::from_forest(&model);
-        let steps = kernel.predict_proba_into(&[1.5], &mut [0.0, 0.0]);
-        assert_eq!(steps, 0, "leaf-only trees take no steps");
-        assert_eq!(kernel.predict_proba(&[1.5]), model.predict_proba(&[1.5]));
+        let stats = assert_tiles_match_recursive(&kernel, &model, &[vec![1.5], vec![f64::NAN]]);
+        assert_eq!(stats.node_steps, 0, "leaf-only trees take no steps");
+        assert_eq!(stats.row_tiles, 1);
     }
 
     #[test]

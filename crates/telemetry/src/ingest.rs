@@ -2,20 +2,18 @@
 //!
 //! The paper's pipeline starts from "telemetry that is emitted from
 //! each unique database" (§2); the study tables are views materialized
-//! from that stream. This module is that materializer, in two modes:
-//!
-//! * [`reconstruct_records`] — the strict path. It folds a
-//!   time-ordered [`TelemetryEvent`] stream back into
-//!   [`DatabaseRecord`]s and rejects the first malformed event it
-//!   meets. Round-trip tests (`reconstruct(of_fleet(f)) ==
-//!   f.databases`) pin that the stream is a complete, faithful
-//!   representation of the simulated service.
-//! * [`reconstruct_records_lenient`] — the recovery path. Production
-//!   telemetry is never pristine (events are dropped, duplicated and
-//!   reordered in transit; see [`crate::faults`]), so this path
-//!   repairs what it can, quarantines databases it cannot, and never
-//!   aborts. An [`IngestReport`] accounts for every repair and
-//!   quarantine so degradation is measurable rather than silent.
+//! from that stream. This module is that materializer:
+//! [`LenientIngestor`] folds [`TelemetryEvent`]s back into
+//! [`DatabaseRecord`]s, and [`reconstruct_records_lenient`] is its
+//! one-chunk form. Production telemetry is never pristine (events are
+//! dropped, duplicated and reordered in transit; see [`crate::faults`]),
+//! so the fold repairs what it can under fixed rules, quarantines
+//! databases it cannot, and never aborts. An [`IngestReport`] accounts
+//! for every repair and quarantine so degradation is measurable rather
+//! than silent. On a clean stream nothing is repaired: round-trip tests
+//! (`reconstruct_records_lenient(of_fleet(f)) == f.databases` with a
+//! clean report) pin that the stream is a complete, faithful
+//! representation of the simulated service.
 
 use crate::catalog::SloCatalog;
 use crate::database::{DatabaseRecord, SloChange};
@@ -24,97 +22,6 @@ use crate::sizetrace::SizeTrace;
 use crate::utilization::UtilizationTrace;
 use simtime::Timestamp;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Errors from ingesting a telemetry stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IngestError {
-    /// An event referenced a database with no preceding `Created`.
-    OrphanEvent {
-        /// The database id.
-        db_id: u64,
-        /// Short description of the event kind.
-        kind: &'static str,
-    },
-    /// A second `Created` arrived for the same id.
-    DuplicateCreate {
-        /// The database id.
-        db_id: u64,
-    },
-    /// A second `Dropped` arrived for the same id.
-    DuplicateDrop {
-        /// The database id.
-        db_id: u64,
-    },
-    /// A size or utilization sample arrived after the database's
-    /// `Dropped` event.
-    SampleAfterDrop {
-        /// The database id.
-        db_id: u64,
-        /// Short description of the sample kind.
-        kind: &'static str,
-    },
-    /// A sample's offset did not advance past the previous sample of
-    /// the same kind.
-    NonMonotonicSample {
-        /// The database id.
-        db_id: u64,
-        /// Short description of the sample kind.
-        kind: &'static str,
-    },
-    /// A sample carried a non-finite or out-of-range value.
-    InvalidSample {
-        /// The database id.
-        db_id: u64,
-        /// Short description of the sample kind.
-        kind: &'static str,
-    },
-    /// An SLO name in the stream is not in the catalog.
-    UnknownSlo {
-        /// The database id.
-        db_id: u64,
-        /// The unknown name.
-        name: String,
-    },
-    /// A database had no telemetry samples at all (streams always carry
-    /// the creation-time report).
-    MissingSamples {
-        /// The database id.
-        db_id: u64,
-    },
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngestError::OrphanEvent { db_id, kind } => {
-                write!(f, "{kind} event for database {db_id} before its creation")
-            }
-            IngestError::DuplicateCreate { db_id } => {
-                write!(f, "duplicate create for database {db_id}")
-            }
-            IngestError::DuplicateDrop { db_id } => {
-                write!(f, "duplicate drop for database {db_id}")
-            }
-            IngestError::SampleAfterDrop { db_id, kind } => {
-                write!(f, "{kind} for database {db_id} after its drop")
-            }
-            IngestError::NonMonotonicSample { db_id, kind } => {
-                write!(f, "non-monotonic {kind} offsets for database {db_id}")
-            }
-            IngestError::InvalidSample { db_id, kind } => {
-                write!(f, "invalid {kind} value for database {db_id}")
-            }
-            IngestError::UnknownSlo { db_id, name } => {
-                write!(f, "unknown SLO {name} for database {db_id}")
-            }
-            IngestError::MissingSamples { db_id } => {
-                write!(f, "database {db_id} has no telemetry samples")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
 
 /// True for a finite size value a [`SizeTrace`] accepts.
 fn size_value_ok(v: f64) -> bool {
@@ -173,193 +80,14 @@ impl Partial {
     }
 }
 
-/// Folds a time-ordered stream into records, ascending by id —
-/// generation order, like [`crate::Fleet::generate`]'s output.
-///
-/// Strict: the first malformed event aborts ingestion with the
-/// matching [`IngestError`]. Use [`reconstruct_records_lenient`] for
-/// degraded streams.
-pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, IngestError> {
-    let mut partials: BTreeMap<u64, Partial> = BTreeMap::new();
-
-    for (at, event) in stream.events() {
-        match event {
-            TelemetryEvent::Created {
-                db_id,
-                subscription,
-                subscription_type,
-                region,
-                server_name,
-                database_name,
-                edition: _,
-                slo,
-                elastic_pool,
-                is_internal,
-            } => {
-                if partials.contains_key(db_id) {
-                    return Err(IngestError::DuplicateCreate { db_id: *db_id });
-                }
-                let slo_index =
-                    SloCatalog::index_of(slo).ok_or_else(|| IngestError::UnknownSlo {
-                        db_id: *db_id,
-                        name: slo.to_string(),
-                    })?;
-                partials.insert(
-                    *db_id,
-                    Partial::new(
-                        *at,
-                        *db_id,
-                        *subscription,
-                        *subscription_type,
-                        *region,
-                        server_name,
-                        database_name,
-                        slo_index,
-                        *elastic_pool,
-                        *is_internal,
-                    ),
-                );
-            }
-            TelemetryEvent::SloChanged { db_id, slo, .. } => {
-                let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
-                    db_id: *db_id,
-                    kind: "slo-change",
-                })?;
-                let slo_index =
-                    SloCatalog::index_of(slo).ok_or_else(|| IngestError::UnknownSlo {
-                        db_id: *db_id,
-                        name: slo.to_string(),
-                    })?;
-                partial
-                    .record_seed
-                    .slo_history
-                    .push(SloChange { at: *at, slo_index });
-            }
-            TelemetryEvent::SizeSample { db_id, size_mb } => {
-                let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
-                    db_id: *db_id,
-                    kind: "size-sample",
-                })?;
-                if partial.record_seed.dropped_at.is_some() {
-                    return Err(IngestError::SampleAfterDrop {
-                        db_id: *db_id,
-                        kind: "size-sample",
-                    });
-                }
-                if !size_value_ok(*size_mb) {
-                    return Err(IngestError::InvalidSample {
-                        db_id: *db_id,
-                        kind: "size-sample",
-                    });
-                }
-                let offset = *at - partial.record_seed.created_at;
-                if let Some(&(last, _)) = partial.sizes.last() {
-                    if offset <= last {
-                        return Err(IngestError::NonMonotonicSample {
-                            db_id: *db_id,
-                            kind: "size-sample",
-                        });
-                    }
-                }
-                partial.sizes.push((offset, *size_mb));
-            }
-            TelemetryEvent::UtilizationSample { db_id, dtu_percent } => {
-                let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
-                    db_id: *db_id,
-                    kind: "utilization-sample",
-                })?;
-                if partial.record_seed.dropped_at.is_some() {
-                    return Err(IngestError::SampleAfterDrop {
-                        db_id: *db_id,
-                        kind: "utilization-sample",
-                    });
-                }
-                if !utilization_value_ok(*dtu_percent) {
-                    return Err(IngestError::InvalidSample {
-                        db_id: *db_id,
-                        kind: "utilization-sample",
-                    });
-                }
-                let offset = *at - partial.record_seed.created_at;
-                if let Some(&(last, _)) = partial.utilizations.last() {
-                    if offset <= last {
-                        return Err(IngestError::NonMonotonicSample {
-                            db_id: *db_id,
-                            kind: "utilization-sample",
-                        });
-                    }
-                }
-                partial.utilizations.push((offset, *dtu_percent));
-            }
-            TelemetryEvent::Dropped { db_id } => {
-                let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
-                    db_id: *db_id,
-                    kind: "drop",
-                })?;
-                if partial.record_seed.dropped_at.is_some() {
-                    return Err(IngestError::DuplicateDrop { db_id: *db_id });
-                }
-                partial.record_seed.dropped_at = Some(*at);
-            }
-        }
-    }
-
-    // BTreeMap iteration yields ascending ids — generation order.
-    let mut records = Vec::with_capacity(partials.len());
-    for (db_id, partial) in partials {
-        if partial.sizes.is_empty() || partial.utilizations.is_empty() {
-            return Err(IngestError::MissingSamples { db_id });
-        }
-        let mut record = partial.record_seed;
-        record.size_trace = SizeTrace::new(partial.sizes);
-        record.utilization_trace = UtilizationTrace::new(partial.utilizations);
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Knobs controlling [`reconstruct_records_lenient`]. The default
-/// enables every repair, which is what the degradation sweep and the
-/// recovery tests exercise; individual repairs can be switched off to
-/// measure their contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Re-sort arrivals into canonical `(time, rank)` order before
-    /// folding. Off, events are folded in arrival order and anything
-    /// arriving before its creation counts as an orphan.
-    pub resort: bool,
-    /// Drop exact duplicates (second `Created`, repeated samples at
-    /// the same offset, repeated `Dropped`, repeated SLO changes).
-    pub dedup: bool,
-    /// When one trace lost every sample but the other survived,
-    /// synthesize the missing creation-time sample `(0, 0.0)` instead
-    /// of quarantining the database.
-    pub synthesize_missing_samples: bool,
-    /// Discard samples and SLO changes that arrive after the
-    /// database's `Dropped` event instead of aborting.
-    pub discard_post_drop: bool,
-    /// Clamp finite out-of-range sample values into their domain
-    /// (sizes to `[0, ∞)`, utilization to `[0, 100]`); non-finite
-    /// values are always discarded.
-    pub clamp_out_of_range: bool,
-    /// Repair a creation event whose SLO is not in the catalog by
-    /// substituting the entry SLO of its edition. Off, such databases
-    /// are quarantined.
-    pub repair_unknown_creation_slo: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            resort: true,
-            dedup: true,
-            synthesize_missing_samples: true,
-            discard_post_drop: true,
-            clamp_out_of_range: true,
-            repair_unknown_creation_slo: true,
-        }
-    }
-}
+/// Kept only for callers that still thread a policy through the
+/// streaming pipeline ([`crate::run_shard`],
+/// [`crate::run_region_streamed`], [`crate::materialized_pipeline`]):
+/// the benchmark harness passes one, and it changes only together with
+/// the benchmark. It has no fields — the recovery rules are fixed (see
+/// [`LenientIngestor`]) — and goes when that parameter does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecoveryPolicy;
 
 /// Per-kind tallies of repairs applied by the lenient path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -414,10 +142,7 @@ pub struct QuarantineCounts {
     pub orphaned_events: usize,
     /// Distinct databases quarantined for having only orphan events.
     pub orphaned_databases: usize,
-    /// Databases quarantined for an unrepaired unknown creation SLO.
-    pub unknown_creation_slo: usize,
-    /// Databases quarantined because both traces lost every sample
-    /// (or one did, with synthesis disabled).
+    /// Databases quarantined because both traces lost every sample.
     pub missing_samples: usize,
 }
 
@@ -444,7 +169,7 @@ pub struct IngestReport {
 
 impl IngestReport {
     /// True when the stream needed no repair and nothing was
-    /// quarantined — lenient ingest behaved exactly like strict.
+    /// quarantined — every event was folded as it arrived.
     pub fn is_clean(&self) -> bool {
         self.events_discarded == 0
             && self.databases_quarantined == 0
@@ -456,7 +181,7 @@ impl IngestReport {
     /// path publishes exactly these, so a `run_trace.json` section can
     /// be reconciled 1:1 against the report (the metrics-consistency
     /// test does).
-    pub fn metric_entries(&self) -> [(&'static str, u64); 19] {
+    pub fn metric_entries(&self) -> [(&'static str, u64); 18] {
         let r = &self.repairs;
         let q = &self.quarantines;
         [
@@ -508,10 +233,6 @@ impl IngestReport {
                 q.orphaned_databases as u64,
             ),
             (
-                "ingest.quarantine.unknown_creation_slo",
-                q.unknown_creation_slo as u64,
-            ),
-            (
                 "ingest.quarantine.missing_samples",
                 q.missing_samples as u64,
             ),
@@ -545,7 +266,6 @@ impl IngestReport {
         let p = &other.quarantines;
         q.orphaned_events += p.orphaned_events;
         q.orphaned_databases += p.orphaned_databases;
-        q.unknown_creation_slo += p.unknown_creation_slo;
         q.missing_samples += p.missing_samples;
         self.quarantined_ids.extend(&other.quarantined_ids);
         // Keep the id list in canonical ascending order so merging is
@@ -562,6 +282,17 @@ impl IngestReport {
 /// chunks with [`LenientIngestor::push_chunk`], then call
 /// [`LenientIngestor::finish`] for the records and the report.
 ///
+/// **Recovery rules.** Fixed, each one counted in the report:
+/// arrivals are re-sorted into canonical `(time, rank)` order; exact
+/// duplicates (a second `Created`, a repeated sample or SLO change, a
+/// later `Dropped`) are discarded, the earliest drop winning; samples
+/// and SLO changes after the drop are discarded; non-finite sample
+/// values are discarded and finite out-of-range ones clamped into
+/// their domain; a creation whose SLO is not in the catalog gets its
+/// edition's entry SLO, while an unknown SLO change is discarded; and
+/// when one trace lost every sample but the other survived, the empty
+/// one is backfilled with the creation-time sample `(0, 0.0)`.
+///
 /// **Chunk-boundary contract:** feeding one whole stream as a single
 /// chunk and feeding it split at *database-stream boundaries* (every
 /// event of a database inside one chunk — the streaming pipeline cuts
@@ -571,9 +302,8 @@ impl IngestReport {
 /// the global stable sort restricted to any one database), and late
 /// arrivals are counted against each database's own arrival clock, not
 /// a global one.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LenientIngestor {
-    policy: RecoveryPolicy,
     report: IngestReport,
     partials: BTreeMap<u64, Partial>,
     quarantined: BTreeSet<u64>,
@@ -584,54 +314,38 @@ pub struct LenientIngestor {
 }
 
 impl LenientIngestor {
-    /// A fresh ingestor under `policy`.
-    pub fn new(policy: RecoveryPolicy) -> LenientIngestor {
-        LenientIngestor {
-            policy,
-            report: IngestReport::default(),
-            partials: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-            orphan_dbs: BTreeSet::new(),
-            arrival_max: BTreeMap::new(),
-        }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
+    /// A fresh ingestor.
+    pub fn new() -> LenientIngestor {
+        LenientIngestor::default()
     }
 
     /// Folds one arrival-order chunk into the accumulated state.
     pub fn push_chunk(&mut self, stream: &EventStream) {
         let _span = obs::span!("ingest_chunk");
-        let policy = self.policy;
         self.report.events_total += stream.len();
 
         let mut events: Vec<(Timestamp, TelemetryEvent)> = stream.events().to_vec();
-        if policy.resort {
-            // Count late arrivals before repairing them: an event is
-            // late when something of the *same database* with a
-            // strictly greater timestamp already arrived. Clean
-            // streams count zero.
-            for (at, event) in &events {
-                match self.arrival_max.get_mut(&event.db_id()) {
-                    Some(max_seen) => {
-                        if *at < *max_seen {
-                            self.report.repairs.resorted_events += 1;
-                        } else {
-                            *max_seen = *at;
-                        }
-                    }
-                    None => {
-                        self.arrival_max.insert(event.db_id(), *at);
+        // Count late arrivals before repairing them: an event is late
+        // when something of the *same database* with a strictly greater
+        // timestamp already arrived. Clean streams count zero.
+        for (at, event) in &events {
+            match self.arrival_max.get_mut(&event.db_id()) {
+                Some(max_seen) => {
+                    if *at < *max_seen {
+                        self.report.repairs.resorted_events += 1;
+                    } else {
+                        *max_seen = *at;
                     }
                 }
+                None => {
+                    self.arrival_max.insert(event.db_id(), *at);
+                }
             }
-            events.sort_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then_with(|| event_rank(&a.1).cmp(&event_rank(&b.1)))
-            });
         }
+        events.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| event_rank(&a.1).cmp(&event_rank(&b.1)))
+        });
 
         for (at, event) in &events {
             let db_id = event.db_id();
@@ -659,19 +373,14 @@ impl LenientIngestor {
                     }
                     let slo_index = match SloCatalog::index_of(slo) {
                         Some(i) => i,
-                        None if policy.repair_unknown_creation_slo => {
+                        None => {
                             self.report.repairs.repaired_creation_slos += 1;
                             SloCatalog::entry_slo(*edition)
                         }
-                        None => {
-                            self.report.quarantines.unknown_creation_slo += 1;
-                            self.report.events_discarded += 1;
-                            self.quarantined.insert(*db_id);
-                            continue;
-                        }
                     };
-                    // A database that looked orphaned can be rescued by
-                    // a late (reordered) creation when resorting is off.
+                    // An event stamped before its database's creation
+                    // sorts ahead of it and looks orphaned; the
+                    // creation rescues the database.
                     self.orphan_dbs.remove(db_id);
                     self.partials.insert(
                         *db_id,
@@ -696,7 +405,7 @@ impl LenientIngestor {
                         self.orphan_dbs.insert(*db_id);
                         continue;
                     };
-                    if policy.discard_post_drop && partial.record_seed.dropped_at.is_some() {
+                    if partial.record_seed.dropped_at.is_some() {
                         self.report.repairs.post_drop_events += 1;
                         self.report.events_discarded += 1;
                         continue;
@@ -706,17 +415,15 @@ impl LenientIngestor {
                         self.report.events_discarded += 1;
                         continue;
                     };
-                    if policy.dedup {
-                        let dup = partial
-                            .record_seed
-                            .slo_history
-                            .last()
-                            .is_some_and(|c| c.at == *at && c.slo_index == slo_index);
-                        if dup {
-                            self.report.repairs.duplicate_events += 1;
-                            self.report.events_discarded += 1;
-                            continue;
-                        }
+                    let dup = partial
+                        .record_seed
+                        .slo_history
+                        .last()
+                        .is_some_and(|c| c.at == *at && c.slo_index == slo_index);
+                    if dup {
+                        self.report.repairs.duplicate_events += 1;
+                        self.report.events_discarded += 1;
+                        continue;
                     }
                     partial
                         .record_seed
@@ -728,7 +435,6 @@ impl LenientIngestor {
                         &mut self.partials,
                         &mut self.orphan_dbs,
                         &mut self.report,
-                        &policy,
                         *at,
                         *db_id,
                         *size_mb,
@@ -740,7 +446,6 @@ impl LenientIngestor {
                         &mut self.partials,
                         &mut self.orphan_dbs,
                         &mut self.report,
-                        &policy,
                         *at,
                         *db_id,
                         *dtu_percent,
@@ -758,7 +463,7 @@ impl LenientIngestor {
                         Some(existing) => {
                             self.report.repairs.duplicate_drops += 1;
                             self.report.events_discarded += 1;
-                            // Earliest drop wins even in arrival order.
+                            // Earliest drop wins.
                             if *at < existing {
                                 partial.record_seed.dropped_at = Some(*at);
                             }
@@ -776,7 +481,6 @@ impl LenientIngestor {
     pub fn finish(self) -> (Vec<DatabaseRecord>, IngestReport) {
         let _span = obs::span!("ingest");
         let LenientIngestor {
-            policy,
             mut report,
             partials,
             quarantined,
@@ -797,8 +501,7 @@ impl LenientIngestor {
                 mut utilizations,
             } = partial;
             if sizes.is_empty() || utilizations.is_empty() {
-                let both_empty = sizes.is_empty() && utilizations.is_empty();
-                if both_empty || !policy.synthesize_missing_samples {
+                if sizes.is_empty() && utilizations.is_empty() {
                     report.quarantines.missing_samples += 1;
                     quarantined_ids.push(db_id);
                     continue;
@@ -841,19 +544,16 @@ impl LenientIngestor {
 }
 
 /// Folds a possibly degraded stream into as many records as can be
-/// recovered under `policy`, quarantining the rest. Never fails: the
-/// worst stream yields `(vec![], report)`.
+/// recovered, quarantining the rest. Never fails: the worst stream
+/// yields `(vec![], report)`. Records come back ascending by id —
+/// generation order, like [`crate::Fleet::generate`]'s output.
 ///
-/// On a clean, canonically ordered stream this returns exactly what
-/// [`reconstruct_records`] returns, plus a report whose
-/// [`IngestReport::is_clean`] holds — leniency costs nothing when
-/// nothing is wrong. Equivalent to a one-chunk [`LenientIngestor`]
-/// run, which is exactly what it is.
-pub fn reconstruct_records_lenient(
-    stream: &EventStream,
-    policy: &RecoveryPolicy,
-) -> (Vec<DatabaseRecord>, IngestReport) {
-    let mut ingestor = LenientIngestor::new(*policy);
+/// On a clean stream this returns exactly the records the stream was
+/// built from, plus a report whose [`IngestReport::is_clean`] holds —
+/// leniency costs nothing when nothing is wrong. It is a one-chunk
+/// [`LenientIngestor`] run.
+pub fn reconstruct_records_lenient(stream: &EventStream) -> (Vec<DatabaseRecord>, IngestReport) {
+    let mut ingestor = LenientIngestor::new();
     ingestor.push_chunk(stream);
     ingestor.finish()
 }
@@ -871,7 +571,6 @@ fn ingest_sample_lenient(
     partials: &mut BTreeMap<u64, Partial>,
     orphan_dbs: &mut BTreeSet<u64>,
     report: &mut IngestReport,
-    policy: &RecoveryPolicy,
     at: Timestamp,
     db_id: u64,
     value: f64,
@@ -883,14 +582,15 @@ fn ingest_sample_lenient(
         orphan_dbs.insert(db_id);
         return;
     };
-    if policy.discard_post_drop && partial.record_seed.dropped_at.is_some() {
+    if partial.record_seed.dropped_at.is_some() {
         report.repairs.post_drop_events += 1;
         report.events_discarded += 1;
         return;
     }
     if at < partial.record_seed.created_at {
-        // Pre-creation sample (only reachable when resorting is off
-        // and a reordered sample outran its creation's arrival).
+        // Pre-creation sample. Within one chunk re-sorting puts it
+        // ahead of its creation (an orphan), so only a stream that
+        // splits a database across chunks gets here.
         report.quarantines.orphaned_events += 1;
         report.events_discarded += 1;
         return;
@@ -907,13 +607,9 @@ fn ingest_sample_lenient(
         };
         if ok {
             value
-        } else if policy.clamp_out_of_range {
+        } else {
             report.repairs.clamped_samples += 1;
             clamped
-        } else {
-            report.repairs.invalid_samples_discarded += 1;
-            report.events_discarded += 1;
-            return;
         }
     };
     let trace = match kind {
@@ -923,7 +619,7 @@ fn ingest_sample_lenient(
     let offset = at - partial.record_seed.created_at;
     if let Some(&(last, last_value)) = trace.last() {
         if offset <= last {
-            if policy.dedup && offset == last && value == last_value {
+            if offset == last && value == last_value {
                 report.repairs.duplicate_events += 1;
             } else {
                 report.repairs.out_of_order_samples += 1;
@@ -951,12 +647,62 @@ mod tests {
         Fleet::generate(FleetConfig::new(RegionConfig::region_1().scaled(0.02), 21))
     }
 
+    fn dropped_db(f: &Fleet) -> &DatabaseRecord {
+        f.databases
+            .iter()
+            .find(|d| d.dropped_at.is_some())
+            .expect("some database drops")
+    }
+
+    fn live_db(f: &Fleet) -> &DatabaseRecord {
+        f.databases
+            .iter()
+            .find(|d| d.dropped_at.is_none())
+            .expect("some database lives")
+    }
+
+    /// Ingests `db`'s stream plus `extra` events. The stream is
+    /// re-sorted into canonical order first, so no event counts as a
+    /// late arrival and each malformed input shows as its own repair.
+    fn ingest_with(
+        db: &DatabaseRecord,
+        extra: Vec<(Timestamp, TelemetryEvent)>,
+    ) -> (Vec<DatabaseRecord>, IngestReport) {
+        let mut events = EventStream::of_database(db).events().to_vec();
+        events.extend(extra);
+        reconstruct_records_lenient(&EventStream::from_events(events))
+    }
+
+    /// The report repaired exactly `repairs`, discarded `discarded`
+    /// events, and quarantined nothing.
+    fn assert_repaired(report: &IngestReport, repairs: RepairCounts, discarded: usize) {
+        assert_eq!(report.repairs, repairs);
+        assert_eq!(report.events_discarded, discarded);
+        assert_eq!(report.quarantines, QuarantineCounts::default());
+        assert_eq!(report.databases_quarantined, 0);
+    }
+
+    /// The first size sample of `db`'s stream.
+    fn first_size_sample(db: &DatabaseRecord) -> (Timestamp, f64) {
+        EventStream::of_database(db)
+            .events()
+            .iter()
+            .find_map(|(at, e)| match e {
+                TelemetryEvent::SizeSample { size_mb, .. } => Some((*at, *size_mb)),
+                _ => None,
+            })
+            .expect("every stream carries a size sample")
+    }
+
     #[test]
     fn roundtrip_reconstructs_every_record_exactly() {
         let f = fleet();
         let stream = EventStream::of_fleet(&f);
-        let records = reconstruct_records(&stream).unwrap();
+        let (records, report) = reconstruct_records_lenient(&stream);
         assert_eq!(records, f.databases);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.events_total, stream.len());
+        assert_eq!(report.databases_recovered, f.databases.len());
     }
 
     #[test]
@@ -967,133 +713,165 @@ mod tests {
             .iter()
             .find(|d| d.changed_edition())
             .unwrap_or(&f.databases[0]);
-        let stream = EventStream::of_database(db);
-        let records = reconstruct_records(&stream).unwrap();
+        let (records, report) = reconstruct_records_lenient(&EventStream::of_database(db));
         assert_eq!(records, vec![db.clone()]);
-    }
-
-    #[test]
-    fn orphan_events_are_rejected() {
-        let f = fleet();
-        let db = &f.databases[0];
-        let full = EventStream::of_database(db);
-        // Drop the Created event.
-        let mut events: Vec<_> = full.events().to_vec();
-        events.remove(0);
-        let stream = EventStream::from_events(events);
-        let err = reconstruct_records(&stream).unwrap_err();
-        assert!(matches!(err, IngestError::OrphanEvent { .. }), "{err}");
+        assert!(report.is_clean(), "{report:?}");
     }
 
     #[test]
     fn duplicate_create_rejected() {
         let f = fleet();
         let db = &f.databases[0];
-        let full = EventStream::of_database(db);
-        let mut events: Vec<_> = full.events().to_vec();
-        let create = events[0].clone();
-        events.push(create);
-        let stream = EventStream::from_events(events);
-        let err = reconstruct_records(&stream).unwrap_err();
-        assert_eq!(err, IngestError::DuplicateCreate { db_id: db.id });
-    }
-
-    fn dropped_db(f: &Fleet) -> &DatabaseRecord {
-        f.databases
-            .iter()
-            .find(|d| d.dropped_at.is_some())
-            .expect("some database drops")
+        let create = EventStream::of_database(db).events()[0].clone();
+        let (records, report) = ingest_with(db, vec![create]);
+        assert_eq!(records, vec![db.clone()]);
+        let repairs = RepairCounts {
+            duplicate_creates: 1,
+            ..RepairCounts::default()
+        };
+        assert_repaired(&report, repairs, 1);
     }
 
     #[test]
     fn duplicate_drop_rejected() {
         let f = fleet();
         let db = dropped_db(&f);
-        let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
-        events.push((
-            db.dropped_at.unwrap() + simtime::Duration::days(1),
-            TelemetryEvent::Dropped { db_id: db.id },
-        ));
-        let err = reconstruct_records(&EventStream::from_events(events)).unwrap_err();
-        assert_eq!(err, IngestError::DuplicateDrop { db_id: db.id });
+        let later = db.dropped_at.unwrap() + simtime::Duration::days(1);
+        let (records, report) =
+            ingest_with(db, vec![(later, TelemetryEvent::Dropped { db_id: db.id })]);
+        // The earliest drop stands.
+        assert_eq!(records, vec![db.clone()]);
+        let repairs = RepairCounts {
+            duplicate_drops: 1,
+            ..RepairCounts::default()
+        };
+        assert_repaired(&report, repairs, 1);
     }
 
     #[test]
     fn sample_after_drop_rejected() {
         let f = fleet();
         let db = dropped_db(&f);
-        let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
-        events.push((
-            db.dropped_at.unwrap() + simtime::Duration::days(1),
-            TelemetryEvent::SizeSample {
-                db_id: db.id,
-                size_mb: 10.0,
-            },
-        ));
-        let err = reconstruct_records(&EventStream::from_events(events)).unwrap_err();
-        assert_eq!(
-            err,
-            IngestError::SampleAfterDrop {
-                db_id: db.id,
-                kind: "size-sample"
-            }
+        let (records, report) = ingest_with(
+            db,
+            vec![(
+                db.dropped_at.unwrap() + simtime::Duration::days(1),
+                TelemetryEvent::SizeSample {
+                    db_id: db.id,
+                    size_mb: 10.0,
+                },
+            )],
         );
+        assert_eq!(records, vec![db.clone()]);
+        let repairs = RepairCounts {
+            post_drop_events: 1,
+            ..RepairCounts::default()
+        };
+        assert_repaired(&report, repairs, 1);
     }
 
     #[test]
     fn duplicate_sample_rejected_as_non_monotonic() {
         let f = fleet();
         let db = &f.databases[0];
-        let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
-        let dup = events
-            .iter()
-            .find(|(_, e)| matches!(e, TelemetryEvent::SizeSample { .. }))
-            .cloned()
-            .unwrap();
-        events.push(dup);
-        let err = reconstruct_records(&EventStream::from_events(events)).unwrap_err();
-        assert_eq!(
-            err,
-            IngestError::NonMonotonicSample {
+        let (at, size_mb) = first_size_sample(db);
+        // A repeated sample and a sample that does not advance past its
+        // predecessor with a different value: both are discarded, the
+        // first as a duplicate, the second as out of order. The sample
+        // already folded stands.
+        for (value, repairs) in [
+            (
+                size_mb,
+                RepairCounts {
+                    duplicate_events: 1,
+                    ..RepairCounts::default()
+                },
+            ),
+            (
+                size_mb + 1.0,
+                RepairCounts {
+                    out_of_order_samples: 1,
+                    ..RepairCounts::default()
+                },
+            ),
+        ] {
+            let sample = TelemetryEvent::SizeSample {
                 db_id: db.id,
-                kind: "size-sample"
-            }
-        );
+                size_mb: value,
+            };
+            let (records, report) = ingest_with(db, vec![(at, sample)]);
+            assert_eq!(records, vec![db.clone()], "value {value}");
+            assert_repaired(&report, repairs, 1);
+        }
     }
 
     #[test]
     fn invalid_sample_rejected() {
         let f = fleet();
-        let db = &f.databases[0];
-        let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
-        let last = events.last().unwrap().0;
-        events.push((
-            last + simtime::Duration::days(1),
-            TelemetryEvent::UtilizationSample {
-                db_id: db.id,
-                dtu_percent: 250.0,
-            },
-        ));
-        let err = reconstruct_records(&EventStream::from_events(events)).unwrap_err();
-        assert_eq!(
-            err,
-            IngestError::InvalidSample {
-                db_id: db.id,
-                kind: "utilization-sample"
+        let db = live_db(&f);
+        let last = EventStream::of_database(db).events().last().unwrap().0;
+        let at = last + simtime::Duration::days(1);
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for sample in [
+                TelemetryEvent::UtilizationSample {
+                    db_id: db.id,
+                    dtu_percent: value,
+                },
+                TelemetryEvent::SizeSample {
+                    db_id: db.id,
+                    size_mb: value,
+                },
+            ] {
+                let (records, report) = ingest_with(db, vec![(at, sample)]);
+                assert_eq!(records, vec![db.clone()], "value {value}");
+                let repairs = RepairCounts {
+                    invalid_samples_discarded: 1,
+                    ..RepairCounts::default()
+                };
+                assert_repaired(&report, repairs, 1);
             }
-        );
+        }
     }
 
     #[test]
-    fn lenient_matches_strict_on_clean_stream() {
+    fn lenient_clamps_out_of_range_samples() {
         let f = fleet();
-        let stream = EventStream::of_fleet(&f);
-        let strict = reconstruct_records(&stream).unwrap();
-        let (lenient, report) = reconstruct_records_lenient(&stream, &RecoveryPolicy::default());
-        assert_eq!(lenient, strict);
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.events_total, stream.len());
-        assert_eq!(report.databases_recovered, f.databases.len());
+        let db = live_db(&f);
+        let last = EventStream::of_database(db).events().last().unwrap().0;
+        let at = last + simtime::Duration::days(1);
+        let (records, report) = ingest_with(
+            db,
+            vec![
+                (
+                    at,
+                    TelemetryEvent::UtilizationSample {
+                        db_id: db.id,
+                        dtu_percent: 250.0,
+                    },
+                ),
+                (
+                    at,
+                    TelemetryEvent::SizeSample {
+                        db_id: db.id,
+                        size_mb: -5.0,
+                    },
+                ),
+            ],
+        );
+        let offset = at - db.created_at;
+        let mut expected = db.clone();
+        let mut utilizations = db.utilization_trace.samples().to_vec();
+        utilizations.push((offset, 100.0));
+        expected.utilization_trace = UtilizationTrace::new(utilizations);
+        let mut sizes = db.size_trace.samples().to_vec();
+        sizes.push((offset, 0.0));
+        expected.size_trace = SizeTrace::new(sizes);
+        assert_eq!(records, vec![expected]);
+        let repairs = RepairCounts {
+            clamped_samples: 2,
+            ..RepairCounts::default()
+        };
+        assert_repaired(&report, repairs, 0);
     }
 
     #[test]
@@ -1117,12 +895,18 @@ mod tests {
             },
         ));
         let stream = EventStream::from_events_unsorted(events);
-        let (records, report) = reconstruct_records_lenient(&stream, &RecoveryPolicy::default());
+        let (records, report) = reconstruct_records_lenient(&stream);
         assert_eq!(records, vec![db.clone()]);
-        assert_eq!(report.repairs.duplicate_creates, 1);
-        assert_eq!(report.repairs.duplicate_events, 1);
-        assert_eq!(report.repairs.post_drop_events, 1);
-        assert_eq!(report.databases_quarantined, 0);
+        // The re-sent creation and sample arrive after the drop, so
+        // both also count as late arrivals.
+        let repairs = RepairCounts {
+            resorted_events: 2,
+            duplicate_creates: 1,
+            duplicate_events: 1,
+            post_drop_events: 1,
+            ..RepairCounts::default()
+        };
+        assert_repaired(&report, repairs, 3);
     }
 
     #[test]
@@ -1131,14 +915,21 @@ mod tests {
         let db = &f.databases[0];
         let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
         events.remove(0); // lose the creation
-        let (records, report) = reconstruct_records_lenient(
-            &EventStream::from_events_unsorted(events),
-            &RecoveryPolicy::default(),
-        );
+        let orphans = events.len();
+        let (records, report) =
+            reconstruct_records_lenient(&EventStream::from_events_unsorted(events));
         assert!(records.is_empty());
-        assert_eq!(report.quarantines.orphaned_databases, 1);
+        assert_eq!(
+            report.quarantines,
+            QuarantineCounts {
+                orphaned_events: orphans,
+                orphaned_databases: 1,
+                missing_samples: 0,
+            }
+        );
+        assert_eq!(report.events_discarded, orphans);
+        assert_eq!(report.repairs, RepairCounts::default());
         assert_eq!(report.quarantined_ids, vec![db.id]);
-        assert!(report.quarantines.orphaned_events > 0);
     }
 
     #[test]
@@ -1147,10 +938,8 @@ mod tests {
         let db = &f.databases[0];
         let mut events: Vec<_> = EventStream::of_database(db).events().to_vec();
         events.reverse();
-        let (records, report) = reconstruct_records_lenient(
-            &EventStream::from_events_unsorted(events),
-            &RecoveryPolicy::default(),
-        );
+        let (records, report) =
+            reconstruct_records_lenient(&EventStream::from_events_unsorted(events));
         assert_eq!(records, vec![db.clone()]);
         assert!(report.repairs.resorted_events > 0);
     }

@@ -74,8 +74,8 @@ pub use export::{
 pub use faults::{FaultClass, FaultInjector, FaultPlan, FaultSummary};
 pub use fleet::{database_id, generate_subscription, Fleet, FleetBuilder, FleetConfig};
 pub use ingest::{
-    reconstruct_records, reconstruct_records_lenient, stream_horizon, IngestError, IngestReport,
-    LenientIngestor, QuarantineCounts, RecoveryPolicy, RepairCounts,
+    reconstruct_records_lenient, stream_horizon, IngestReport, LenientIngestor, QuarantineCounts,
+    RecoveryPolicy, RepairCounts,
 };
 pub use names::NameStyle;
 pub use region::{RegionConfig, RegionId};

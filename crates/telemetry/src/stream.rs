@@ -142,7 +142,7 @@ pub fn run_shard(
     shard: usize,
     chunk_subscriptions: usize,
     faults: Option<&FaultPlan>,
-    policy: &RecoveryPolicy,
+    _policy: &RecoveryPolicy,
 ) -> ShardResult {
     let _span = obs::span!("stream_shard");
     let range = plan.range(shard);
@@ -152,7 +152,7 @@ pub fn run_shard(
     let mut subscriptions: Vec<Subscription> = Vec::with_capacity(range.len());
     let mut generated_ids: Vec<u64> = Vec::new();
     let mut fault_summary = FaultSummary::default();
-    let mut ingestor = LenientIngestor::new(*policy);
+    let mut ingestor = LenientIngestor::new();
     let mut chunks = 0u64;
 
     let mut next = range.start;
@@ -284,7 +284,7 @@ pub fn run_region_streamed(
 pub fn materialized_pipeline(
     config: &FleetConfig,
     faults: Option<&FaultPlan>,
-    policy: &RecoveryPolicy,
+    _policy: &RecoveryPolicy,
 ) -> PipelineResult {
     let generated = Fleet::generate(config.clone());
     let injector = faults.map(|plan| FaultInjector::new(*plan));
@@ -311,7 +311,7 @@ pub fn materialized_pipeline(
         start = end;
     }
 
-    let mut ingestor = LenientIngestor::new(*policy);
+    let mut ingestor = LenientIngestor::new();
     ingestor.push_chunk(&EventStream::from_events_unsorted(events));
     let (records, report) = ingestor.finish();
 
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn clean_streamed_pipeline_matches_materialized() {
         let config = config();
-        let reference = materialized_pipeline(&config, None, &RecoveryPolicy::default());
+        let reference = materialized_pipeline(&config, None, &RecoveryPolicy);
         assert!(reference.report.is_clean());
         assert_eq!(reference.vanished_databases, 0);
         assert_eq!(
@@ -382,8 +382,7 @@ mod tests {
         for shards in [1usize, 4] {
             let plan = ShardPlan::new(config.region.subscription_count, shards);
             let order: Vec<usize> = (0..plan.shard_count()).rev().collect();
-            let streamed =
-                run_region_streamed(&config, &plan, &order, 7, None, &RecoveryPolicy::default());
+            let streamed = run_region_streamed(&config, &plan, &order, 7, None, &RecoveryPolicy);
             assert_eq!(streamed.fleet.databases, reference.fleet.databases);
             assert_eq!(streamed.fleet.subscriptions, reference.fleet.subscriptions);
             assert_eq!(streamed.report, reference.report);
@@ -402,7 +401,7 @@ mod tests {
             orphan: 0.02,
             ..FaultPlan::none(9)
         };
-        let policy = RecoveryPolicy::default();
+        let policy = RecoveryPolicy;
         let reference = materialized_pipeline(&config, Some(&faults), &policy);
         assert!(reference.report.databases_quarantined > 0);
         assert_eq!(

@@ -10,7 +10,7 @@
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
 use telemetry::{
     reconstruct_records_lenient, Census, EventStream, FaultInjector, FaultPlan, Fleet, FleetConfig,
-    RecoveryPolicy, RegionConfig,
+    RegionConfig,
 };
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
 
     // 3. ...the lenient ingest tier recovers what it can and
     // quarantines what it cannot...
-    let (records, report) = reconstruct_records_lenient(&degraded, &RecoveryPolicy::default());
+    let (records, report) = reconstruct_records_lenient(&degraded);
     println!(
         "recovered {} / {} databases ({} quarantined: {} orphaned, {} missing samples)",
         report.databases_recovered,

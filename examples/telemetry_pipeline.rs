@@ -9,8 +9,8 @@
 
 use stats::ks_two_sample;
 use telemetry::{
-    read_records_jsonl, reconstruct_records, write_records_jsonl, Census, EventStream, Fleet,
-    FleetConfig, RegionConfig, TelemetryEvent,
+    read_records_jsonl, reconstruct_records_lenient, write_records_jsonl, Census, EventStream,
+    Fleet, FleetConfig, RegionConfig, TelemetryEvent,
 };
 
 fn main() {
@@ -28,8 +28,9 @@ fn main() {
     );
 
     // 2. ...the ingestion tier folds the stream into records...
-    let records = reconstruct_records(&stream).expect("well-formed stream");
+    let (records, report) = reconstruct_records_lenient(&stream);
     assert_eq!(records, fleet.databases);
+    assert!(report.is_clean(), "a clean stream needs no repair");
     println!(
         "ingested {} records (bit-identical to the source fleet)",
         records.len()

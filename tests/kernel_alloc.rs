@@ -4,14 +4,15 @@
 //! The scoring layer hoists every buffer (row tile, probability
 //! accumulator, traversal cursors) into per-worker scratch that is
 //! created once and reused across chunks; inside
-//! `ForestKernel::score_block_into` and `predict_proba_into` nothing
-//! may touch the allocator. A `#[global_allocator]` wrapper counts
-//! `alloc`/`realloc` calls, and the test asserts the count does not
-//! move across repeated kernel calls with warm scratch.
+//! `ForestKernel::score_tile_into`, the entry point that serves,
+//! nothing may touch the allocator. A `#[global_allocator]` wrapper
+//! counts `alloc`/`realloc` calls, and the test asserts the count does
+//! not move across repeated kernel calls with warm scratch.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can
 //! allocate concurrently inside the measurement window.
 
+use forest::flatkernel::ROW_TILE;
 use forest::{ForestKernel, KernelScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,27 +58,42 @@ fn kernel_hot_loop_performs_zero_allocation() {
     let kernel = ForestKernel::from_forest(&model);
 
     // All buffers up front, exactly like the serving layer's
-    // per-worker scratch.
+    // per-worker scratch: every feature-major tile is gathered before
+    // the measurement window opens.
     let n = data.len();
     let nf = kernel.feature_count();
     let cc = kernel.class_count();
-    let mut rows = Vec::with_capacity(n * nf);
-    for i in 0..n {
-        rows.extend(data.row(i));
-    }
-    let mut out = vec![0.0; n * cc];
+    let tiles: Vec<(Vec<f64>, usize)> = (0..n)
+        .step_by(ROW_TILE)
+        .map(|lo| {
+            let len = ROW_TILE.min(n - lo);
+            let mut tile = vec![0.0; nf * ROW_TILE];
+            for f in 0..nf {
+                tile[f * ROW_TILE..f * ROW_TILE + len]
+                    .copy_from_slice(&data.column(f)[lo..lo + len]);
+            }
+            (tile, len)
+        })
+        .collect();
+    let mut out = vec![0.0; ROW_TILE * cc];
     let mut scratch = KernelScratch::new();
+    let mut score_all = |scratch: &mut KernelScratch| -> u64 {
+        let mut steps = 0;
+        for (tile, len) in &tiles {
+            steps += kernel
+                .score_tile_into(tile, *len, scratch, &mut out[..len * cc])
+                .node_steps;
+        }
+        steps
+    };
 
     // Warm-up pass (first-touch effects, lazy statics), then measure.
-    let warm = kernel.score_block_into(&rows, n, &mut scratch, &mut out);
-    assert!(warm.node_steps > 0, "fixture forest must have real depth");
+    let warm = score_all(&mut scratch);
+    assert!(warm > 0, "fixture forest must have real depth");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..5 {
-        kernel.score_block_into(&rows, n, &mut scratch, &mut out);
-    }
-    for i in 0..n.min(64) {
-        kernel.predict_proba_into(&rows[i * nf..(i + 1) * nf], &mut out[i * cc..(i + 1) * cc]);
+        score_all(&mut scratch);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
@@ -86,6 +102,6 @@ fn kernel_hot_loop_performs_zero_allocation() {
         0,
         "the kernel hot loop allocated {} times across {} rows",
         after - before,
-        5 * n + n.min(64)
+        5 * n
     );
 }

@@ -2,13 +2,10 @@
 //! lenient ingest must reconcile exactly with the `IngestReport` the
 //! caller receives — the trace and the report are two views of the
 //! same recovery, never two bookkeeping systems that can drift.
-//!
-//! One `#[test]` runs both recovery policies sequentially because the
-//! registry slot is process-wide.
 
 use telemetry::{
     reconstruct_records_lenient, EventStream, FaultInjector, FaultPlan, Fleet, FleetConfig,
-    RecoveryPolicy, RegionConfig,
+    RegionConfig,
 };
 
 fn degraded_stream() -> EventStream {
@@ -28,60 +25,38 @@ fn degraded_stream() -> EventStream {
     FaultInjector::new(plan).inject(&stream).0
 }
 
-fn ingest_counters(
-    stream: &EventStream,
-    policy: &RecoveryPolicy,
-) -> (obs::Snapshot, telemetry::IngestReport) {
+#[test]
+fn trace_counters_match_ingest_report() {
+    let degraded = degraded_stream();
     let registry = obs::Registry::with_stderr_level(obs::Level::Error);
     let guard = registry.install();
-    let (_records, report) = reconstruct_records_lenient(stream, policy);
+    let (_records, report) = reconstruct_records_lenient(&degraded);
     drop(guard);
-    (registry.snapshot(), report)
-}
+    let snapshot = registry.snapshot();
 
-#[test]
-fn trace_counters_match_ingest_report_under_both_policies() {
-    let degraded = degraded_stream();
-
-    let strict = RecoveryPolicy {
-        synthesize_missing_samples: false,
-        clamp_out_of_range: false,
-        repair_unknown_creation_slo: false,
-        ..RecoveryPolicy::default()
-    };
-
-    for (label, policy) in [("default", RecoveryPolicy::default()), ("strict", strict)] {
-        let (snapshot, report) = ingest_counters(&degraded, &policy);
-        for (name, expected) in report.metric_entries() {
-            assert_eq!(
-                snapshot.counters.get(name).copied(),
-                Some(expected),
-                "{label} policy: counter {name} disagrees with the IngestReport"
-            );
-        }
+    for (name, expected) in report.metric_entries() {
         assert_eq!(
-            snapshot.spans.get("ingest").map(|s| s.count),
-            Some(1),
-            "{label} policy: exactly one ingest span per reconstruction"
-        );
-        // The fault plan actually exercised the recovery machinery, so
-        // the reconciliation above was not vacuously zero-vs-zero.
-        assert!(
-            report.repairs.total() > 0,
-            "{label} policy: fault plan produced no repairs"
-        );
-        assert!(
-            report.databases_quarantined > 0,
-            "{label} policy: fault plan produced no quarantines"
-        );
-        assert!(
-            !report.is_clean(),
-            "{label} policy: degraded stream reported clean"
-        );
-        assert_eq!(
-            snapshot.event_counts().get("info:ingest").copied(),
-            Some(1),
-            "{label} policy: unclean ingest must emit its summary event"
+            snapshot.counters.get(name).copied(),
+            Some(expected),
+            "counter {name} disagrees with the IngestReport"
         );
     }
+    assert_eq!(
+        snapshot.spans.get("ingest").map(|s| s.count),
+        Some(1),
+        "exactly one ingest span per reconstruction"
+    );
+    // The fault plan actually exercised the recovery machinery, so the
+    // reconciliation above was not vacuously zero-vs-zero.
+    assert!(report.repairs.total() > 0, "fault plan produced no repairs");
+    assert!(
+        report.databases_quarantined > 0,
+        "fault plan produced no quarantines"
+    );
+    assert!(!report.is_clean(), "degraded stream reported clean");
+    assert_eq!(
+        snapshot.event_counts().get("info:ingest").copied(),
+        Some(1),
+        "unclean ingest must emit its summary event"
+    );
 }

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
 use telemetry::{
     reconstruct_records_lenient, Census, EventStream, FaultInjector, FaultPlan, Fleet, FleetConfig,
-    RecoveryPolicy, RegionConfig,
+    RegionConfig,
 };
 
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
@@ -50,7 +50,7 @@ fn traced_pipeline() -> obs::Snapshot {
         ..FaultPlan::none(77)
     };
     let (degraded, _faults) = FaultInjector::new(plan).inject(&stream);
-    let (_records, _report) = reconstruct_records_lenient(&degraded, &RecoveryPolicy::default());
+    let (_records, _report) = reconstruct_records_lenient(&degraded);
 
     let census = Census::new(&fleet);
     let experiment = Experiment::new(ExperimentConfig {

@@ -78,7 +78,7 @@ fn measure_peak<T>(work: impl FnOnce() -> T) -> (u64, T) {
 #[test]
 fn streamed_peak_memory_is_bounded_by_one_shard() {
     let config = FleetConfig::new(RegionConfig::region_1().scaled(0.06), 2018);
-    let policy = RecoveryPolicy::default();
+    let policy = RecoveryPolicy;
     const SHARDS: usize = 8;
     let plan = ShardPlan::new(config.region.subscription_count, SHARDS);
     assert_eq!(plan.shard_count(), SHARDS, "population must fill the plan");

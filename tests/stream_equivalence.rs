@@ -43,7 +43,7 @@ proptest! {
         let shards = [1usize, 3, 8][shards_index];
         let fault_rate = [0.0f64, 0.08, 0.2][fault_index];
         let config = FleetConfig::new(RegionConfig::region_1().scaled(0.012), seed);
-        let policy = RecoveryPolicy::default();
+        let policy = RecoveryPolicy;
         let faults = (fault_rate > 0.0).then(|| FaultPlan {
             drop_size: fault_rate,
             duplicate: fault_rate / 2.0,

@@ -4,8 +4,8 @@
 
 use features::{FeatureConfig, FeatureExtractor};
 use telemetry::{
-    read_records_jsonl, reconstruct_records, write_records_jsonl, Census, EventStream, Fleet,
-    FleetConfig, RegionConfig, RegionId,
+    read_records_jsonl, reconstruct_records_lenient, write_records_jsonl, Census, EventStream,
+    Fleet, FleetConfig, RegionConfig, RegionId,
 };
 
 fn fleet() -> Fleet {
@@ -16,8 +16,9 @@ fn fleet() -> Fleet {
 fn stream_ingestion_reproduces_the_study_dataset() {
     let original = fleet();
     let stream = EventStream::of_fleet(&original);
-    let records = reconstruct_records(&stream).expect("stream is well-formed");
+    let (records, report) = reconstruct_records_lenient(&stream);
     assert_eq!(records, original.databases);
+    assert!(report.is_clean(), "{report:?}");
 
     // Replace the fleet's records with the reconstructed ones and
     // verify the entire downstream analysis is unchanged.
@@ -54,7 +55,8 @@ fn export_and_stream_paths_agree() {
     let via_jsonl = read_records_jsonl(jsonl.as_slice()).unwrap();
 
     // Path 2: records -> event stream -> records.
-    let via_stream = reconstruct_records(&EventStream::of_fleet(&original)).unwrap();
+    let (via_stream, report) = reconstruct_records_lenient(&EventStream::of_fleet(&original));
+    assert!(report.is_clean(), "{report:?}");
 
     assert_eq!(via_jsonl, via_stream);
     assert_eq!(via_jsonl, original.databases);
@@ -64,8 +66,11 @@ fn export_and_stream_paths_agree() {
 fn regional_streams_stay_separate() {
     let region_1 = Fleet::generate(FleetConfig::new(RegionConfig::region_1().scaled(0.03), 5));
     let region_3 = Fleet::generate(FleetConfig::new(RegionConfig::region_3().scaled(0.03), 5));
-    let records_1 = reconstruct_records(&EventStream::of_fleet(&region_1)).unwrap();
-    let records_3 = reconstruct_records(&EventStream::of_fleet(&region_3)).unwrap();
+    let (records_1, report_1) = reconstruct_records_lenient(&EventStream::of_fleet(&region_1));
+    let (records_3, report_3) = reconstruct_records_lenient(&EventStream::of_fleet(&region_3));
+    assert!(report_1.is_clean() && report_3.is_clean());
+    assert_eq!(records_1, region_1.databases);
+    assert_eq!(records_3, region_3.databases);
     assert!(records_1.iter().all(|r| r.region == RegionId::Region1));
     assert!(records_3.iter().all(|r| r.region == RegionId::Region3));
 }
