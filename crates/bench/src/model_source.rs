@@ -112,29 +112,34 @@ pub fn obtain_model(data: &Dataset, spec: &ModelSpec) -> Result<SavedModel, Stri
         return Ok(model);
     }
 
-    let (params, grid) = if spec.tune {
+    let (params, grid, forest) = if spec.tune {
         let candidates = tuning_candidates();
         obs::info!(
             "model_source",
-            "tuning over {} candidates ...",
-            candidates.len()
+            "tuning over {} candidates, then training the best on {} examples x {} features",
+            candidates.len(),
+            data.len(),
+            data.feature_count()
         );
-        let result = GridSearch::new(candidates, 5).run(data, spec.seed);
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let (result, forest) =
+            GridSearch::new(candidates, 5).fit_best_on(data, &rows, spec.seed, spec.seed);
         (
             result.best_params,
             Some(GridProvenance::from_result(&result)),
+            forest,
         )
     } else {
-        (RandomForestParams::default(), None)
+        let params = RandomForestParams::default();
+        obs::info!(
+            "model_source",
+            "training {} trees on {} examples x {} features",
+            params.n_trees,
+            data.len(),
+            data.feature_count()
+        );
+        (params, None, RandomForest::fit(data, &params, spec.seed))
     };
-    obs::info!(
-        "model_source",
-        "training {} trees on {} examples x {} features",
-        params.n_trees,
-        data.len(),
-        data.feature_count()
-    );
-    let forest = RandomForest::fit(data, &params, spec.seed);
     let saved = SavedModel::new(
         forest,
         ModelMeta {

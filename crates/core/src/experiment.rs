@@ -295,13 +295,18 @@ impl Experiment {
                 train_test_split_indices(&dataset, cfg.test_fraction, rep_seed);
             let train = dataset.view(&train_rows);
 
-            // Tune on the training set.
-            let params = match cfg.grid {
-                GridPreset::Off => RandomForestParams::default(),
+            // Tune on the training set, then fit the winner on all of
+            // it; a tuned fit reuses the search's rank-code precompute.
+            let model_seed = derive_seed(rep_seed, 2);
+            let (params, model) = match cfg.grid {
+                GridPreset::Off => {
+                    let params = RandomForestParams::default();
+                    (params, RandomForest::fit_view(&train, &params, model_seed))
+                }
                 preset => {
-                    GridSearch::new(preset.candidates(), preset.folds())
-                        .run_on(&dataset, &train_rows, derive_seed(rep_seed, 1))
-                        .best_params
+                    let (result, model) = GridSearch::new(preset.candidates(), preset.folds())
+                        .fit_best_on(&dataset, &train_rows, derive_seed(rep_seed, 1), model_seed);
+                    (result.best_params, model)
                 }
             };
             let tuned = format!(
@@ -311,8 +316,6 @@ impl Experiment {
                 params.tree.min_samples_leaf,
                 params.max_features
             );
-
-            let model = RandomForest::fit_view(&train, &params, derive_seed(rep_seed, 2));
 
             // Forest predictions on the test set.
             let probs: Vec<f64> = test_rows

@@ -244,11 +244,38 @@ impl GridSearch {
     /// whatever the thread count. Folds are built once and shared by
     /// every candidate.
     pub fn run_on(&self, data: &Dataset, rows: &[usize], seed: u64) -> GridSearchResult {
+        self.search(data, &SplitPrecompute::build(data, rows), rows, seed)
+    }
+
+    /// Runs the search over `rows` as [`GridSearch::run_on`] does with
+    /// `search_seed`, then trains the winning setting on all of `rows`
+    /// as `RandomForest::fit_on(data, rows, best, fit_seed)` does. Both
+    /// share one rank-code precompute, so the feature columns are
+    /// sorted once for the search and the final fit together.
+    pub fn fit_best_on(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+        search_seed: u64,
+        fit_seed: u64,
+    ) -> (GridSearchResult, RandomForest) {
+        let pre = SplitPrecompute::build(data, rows);
+        let result = self.search(data, &pre, rows, search_seed);
+        let model = RandomForest::fit_shared(data, &pre, rows, &result.best_params, fit_seed, true);
+        (result, model)
+    }
+
+    fn search(
+        &self,
+        data: &Dataset,
+        pre: &SplitPrecompute,
+        rows: &[usize],
+        seed: u64,
+    ) -> GridSearchResult {
         let _span = obs::span!("grid_search");
         let k = self.folds;
         let kfold = KFold::over(data, rows, k, seed);
         let splits: Vec<(Vec<usize>, Vec<usize>)> = (0..k).map(|f| kfold.split(f)).collect();
-        let pre = SplitPrecompute::build(data, rows);
 
         let units = self.candidates.len() * k;
         let fold_scores = run_units(units, |u| {
@@ -257,7 +284,7 @@ impl GridSearch {
             let (train, validation) = &splits[fold];
             fold_accuracy(
                 data,
-                &pre,
+                pre,
                 train,
                 validation,
                 &self.candidates[candidate],
@@ -464,5 +491,31 @@ mod tests {
         let standalone = cross_val_accuracy(&d, &params, 3, 21);
         let result = GridSearch::new(vec![params], 3).run(&d, 21);
         assert_eq!(result.all_scores[0].1, standalone);
+    }
+
+    #[test]
+    fn fit_best_on_matches_search_then_fit() {
+        let d = dataset(160, 0.4);
+        let rows: Vec<usize> = (0..d.len()).filter(|i| i % 5 != 2).collect();
+        let candidates: Vec<RandomForestParams> = [2, 6]
+            .iter()
+            .map(|&max_depth| RandomForestParams {
+                n_trees: 6,
+                tree: TreeParams {
+                    max_depth,
+                    ..TreeParams::default()
+                },
+                ..RandomForestParams::default()
+            })
+            .collect();
+        let search = GridSearch::new(candidates, 3);
+        let (result, model) = search.fit_best_on(&d, &rows, 5, 6);
+        let alone = search.run_on(&d, &rows, 5);
+        assert_eq!(result.all_scores, alone.all_scores);
+        assert_eq!(result.best_params, alone.best_params);
+        let refit = RandomForest::fit_on(&d, &rows, &alone.best_params, 6);
+        assert_eq!(model.oob_accuracy(), refit.oob_accuracy());
+        let flats = |m: &RandomForest| m.trees().iter().map(|t| t.to_flat()).collect::<Vec<_>>();
+        assert_eq!(flats(&model), flats(&refit));
     }
 }

@@ -144,38 +144,31 @@ impl RandomForest {
         let n = rows.len();
         let max_features = params.max_features.resolve(data.feature_count());
 
-        // One work unit per tree. Each unit returns the tree plus the
-        // in-bag flags (by view position) its bootstrap drew.
-        let results: Vec<(DecisionTree, Option<Vec<bool>>)> = run_units(params.n_trees, |t| {
+        // One work unit per tree. The bootstrap makes `n` draws of a view
+        // position and keeps each drawn position once, with its
+        // multiplicity; the tree grows on those `(row, multiplicity)`
+        // entries. Each unit returns the tree plus the multiplicities
+        // (by view position) when the OOB tally needs them.
+        let results: Vec<(DecisionTree, Option<Vec<u32>>)> = run_units(params.n_trees, |t| {
             let mut rng = SmallRng::seed_from_u64(derive_seed(seed, t as u64));
-            let (indices, in_bag) = if params.bootstrap {
-                let mut in_bag = if compute_oob {
-                    vec![false; n]
-                } else {
-                    Vec::new()
-                };
-                let indices: Vec<usize> = (0..n)
-                    .map(|_| {
-                        let p = rng.gen_range(0..n);
-                        if compute_oob {
-                            in_bag[p] = true;
-                        }
-                        rows[p]
-                    })
+            let (bag, multiplicity) = if params.bootstrap {
+                let mut multiplicity = vec![0u32; n];
+                for _ in 0..n {
+                    multiplicity[rng.gen_range(0..n)] += 1;
+                }
+                let bag = multiplicity
+                    .iter()
+                    .zip(rows)
+                    .filter(|&(&m, _)| m > 0)
+                    .map(|(&m, &row)| (row as u32, m))
                     .collect();
-                (indices, compute_oob.then_some(in_bag))
+                (bag, compute_oob.then_some(multiplicity))
             } else {
-                (rows.to_vec(), None)
+                (rows.iter().map(|&row| (row as u32, 1)).collect(), None)
             };
-            let tree = DecisionTree::fit_presorted(
-                data,
-                pre,
-                &indices,
-                &params.tree,
-                max_features,
-                &mut rng,
-            );
-            (tree, in_bag)
+            let tree =
+                DecisionTree::fit_presorted(data, pre, bag, &params.tree, max_features, &mut rng);
+            (tree, multiplicity)
         });
 
         // Out-of-bag votes, tallied row-major so each row is gathered
@@ -190,9 +183,9 @@ impl RandomForest {
             for p in 0..n {
                 votes.iter_mut().for_each(|v| *v = 0);
                 let mut gathered = false;
-                for (tree, in_bag) in &results {
-                    let in_bag = in_bag.as_ref().expect("bootstrap trees record bags");
-                    if !in_bag[p] {
+                for (tree, multiplicity) in &results {
+                    let multiplicity = multiplicity.as_ref().expect("bootstrap trees record bags");
+                    if multiplicity[p] == 0 {
                         if !gathered {
                             data.gather_row_into(rows[p], &mut row);
                             gathered = true;
