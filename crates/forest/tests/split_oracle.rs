@@ -16,6 +16,10 @@
 //!   multiplicity;
 //! * per feature, the importance equals Σ (n / total) × decrease.
 //!
+//! Two and three classes run the trainer's monomorphized scans; four
+//! runs its dynamic fallback. Tie-heavy features take the dense
+//! (histogram) scan and fine-grained ones the sparse (sorted) scan.
+//!
 //! Which of several equal-decrease splits wins depends on the RNG's
 //! feature order, so tie order is not asserted. `Dataset::push`
 //! rejects NaN, so there is no missing-value case.
@@ -47,14 +51,16 @@ fn random_case(
     n_classes: usize,
 ) -> (Dataset, Vec<usize>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Each feature draws from its own 1–4 levels; one level makes the
-    // feature constant.
+    // Each feature draws from its own 1–4 levels (one level makes the
+    // feature constant), or from a 64-value grid: far more ranks than a
+    // small node holds, which sends the trainer's scan down its sparse
+    // (sort-the-node) path.
     let feature_levels: Vec<Vec<f64>> = (0..n_features)
-        .map(|_| {
-            let k = rng.gen_range(1..=4);
-            (0..k)
+        .map(|_| match rng.gen_range(1..=6) {
+            5 | 6 => (0..64).map(|i| i as f64 / 8.0 - 4.0).collect(),
+            k => (0..k)
                 .map(|_| LEVELS[rng.gen_range(0..LEVELS.len())])
-                .collect()
+                .collect(),
         })
         .collect();
     let names = (0..n_features).map(|f| format!("x{f}")).collect();
@@ -204,10 +210,10 @@ proptest! {
     #[test]
     fn every_node_matches_the_brute_force_gini_search(
         seed in any::<u64>(),
-        n_rows in 2usize..=40,
+        n_rows in 2usize..=120,
         n_features in 1usize..=4,
-        n_classes in 2usize..=3,
-        max_depth in 0usize..=6,
+        n_classes in 2usize..=4,
+        max_depth in 0usize..=10,
         min_samples_leaf in 1usize..=4,
         min_samples_split in 2usize..=5,
     ) {
