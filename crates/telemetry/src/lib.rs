@@ -66,7 +66,7 @@ pub use archetype::Archetype;
 pub use catalog::{Edition, ServiceLevelObjective, SloCatalog};
 pub use census::{Census, LifespanClass};
 pub use database::{DatabaseRecord, SloChange};
-pub use events::{EventStream, TelemetryEvent};
+pub use events::{CreationInfo, EventStream, TelemetryEvent};
 pub use export::{
     read_records_jsonl, write_records_jsonl, write_summary_csv, write_summary_csv_header,
     write_summary_csv_rows, ImportError,

@@ -27,6 +27,7 @@ fn committed_artifacts_validate_by_their_schema() {
         ("serving.json", survd::SERVING_SCHEMA),
         ("resilience.json", survd::RESILIENCE_SCHEMA),
         ("policy.json", bench::policyart::POLICY_SCHEMA),
+        ("fleet.json", bench::fleet::FLEET_SCHEMA),
     ] {
         let path = committed(file);
         assert_eq!(check_artifacts(&[&path]), Ok(schema), "{file}");
