@@ -1,10 +1,12 @@
-//! Byte pins for the trainer: two fixed-seed forests, rendered as
+//! Byte pins for the trainer: fixed-seed forests, rendered as
 //! `survdb-model/v1` JSON, must keep a recorded 64-bit FNV-1a digest
 //! and byte length.
 //!
 //! One model is bootstrapped and grid-searched through
 //! `bench::model_source::obtain_model` (train, save, reload, verify);
-//! the other is a default `RandomForest::fit`. Both go through the
+//! the others are default `RandomForest::fit`s, on the two-class
+//! fixture and on seeded synthetic 3- and 4-class data, so the split
+//! scan is pinned at every class-count buffer it uses. All go through the
 //! bagging, split search, thresholds, leaf distributions and
 //! importances, so a trainer change that moves any tree by one bit
 //! moves a digest. `golden_repro` pins the experiment with grid search
@@ -14,7 +16,9 @@
 //! below in the same commit; the failure message prints the new values.
 
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
-use forest::{RandomForest, RandomForestParams};
+use forest::{Dataset, RandomForest, RandomForestParams};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serve::{ModelMeta, SavedModel};
 
 const SCALE: f64 = 0.1;
@@ -24,6 +28,10 @@ const SEED: u64 = 2018;
 const TUNED: (u64, usize) = (0xcc4b_4d35_6046_1284, 514_694);
 /// `(digest, bytes)` of the default-parameter `RandomForest::fit` render.
 const DEFAULT_FIT: (u64, usize) = (0x7fa7_4e34_c7d1_92ea, 1_496_735);
+/// `(digest, bytes)` of a default fit on [`synthetic`] 3-class data.
+const THREE_CLASS_FIT: (u64, usize) = (0xb717_3e95_2de8_c815, 689_973);
+/// `(digest, bytes)` of a default fit on [`synthetic`] 4-class data.
+const FOUR_CLASS_FIT: (u64, usize) = (0xb337_4b92_a0a5_f47b, 857_901);
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -32,6 +40,46 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// 600 seeded rows with `classes` labels: a continuous feature whose
+/// class bands overlap, a coarse one full of ties, a constant column
+/// and three noise columns.
+fn synthetic(classes: usize, seed: u64) -> Dataset {
+    let names = (0..6).map(|f| format!("f{f}")).collect();
+    let mut data = Dataset::new(names, classes);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..600 {
+        let label = rng.gen_range(0..classes);
+        let shift = label as f64;
+        let row = vec![
+            shift + 1.5 * rng.gen::<f64>(),
+            (0.5 * shift + rng.gen::<f64>()).floor(),
+            1.0,
+            rng.gen::<f64>(),
+            rng.gen_range(0..40) as f64,
+            rng.gen::<f64>() * 1e3,
+        ];
+        data.push(row, label);
+    }
+    data
+}
+
+/// Renders a default-parameter `RandomForest::fit` of `data`.
+fn default_fit_render(data: &Dataset) -> String {
+    let params = RandomForestParams::default();
+    let forest = RandomForest::fit(data, &params, SEED);
+    assert!(forest.oob_accuracy().is_some(), "bootstrap records bags");
+    SavedModel::new(
+        forest,
+        ModelMeta {
+            positive_fraction: data.class_fraction(1),
+            seed: SEED,
+            params,
+            grid: None,
+        },
+    )
+    .render()
 }
 
 fn check(name: &str, rendered: &str, want: (u64, usize)) {
@@ -62,17 +110,17 @@ fn tuned_model_keeps_its_bytes() {
 #[test]
 fn default_fit_keeps_its_bytes() {
     let data = fixture_dataset(SCALE, SEED);
-    let params = RandomForestParams::default();
-    let forest = RandomForest::fit(&data, &params, SEED);
-    assert!(forest.oob_accuracy().is_some(), "bootstrap records bags");
-    let saved = SavedModel::new(
-        forest,
-        ModelMeta {
-            positive_fraction: data.class_fraction(1),
-            seed: SEED,
-            params,
-            grid: None,
-        },
-    );
-    check("default fit", &saved.render(), DEFAULT_FIT);
+    check("default fit", &default_fit_render(&data), DEFAULT_FIT);
+}
+
+#[test]
+fn three_class_fit_keeps_its_bytes() {
+    let data = synthetic(3, SEED);
+    check("3-class fit", &default_fit_render(&data), THREE_CLASS_FIT);
+}
+
+#[test]
+fn four_class_fit_keeps_its_bytes() {
+    let data = synthetic(4, SEED);
+    check("4-class fit", &default_fit_render(&data), FOUR_CLASS_FIT);
 }
