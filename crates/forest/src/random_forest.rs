@@ -2,7 +2,7 @@
 
 use crate::data::{Dataset, DatasetView};
 use crate::parallel::{derive_seed, run_units};
-use crate::tree::{DecisionTree, SplitPrecompute, TreeParams};
+use crate::tree::{argmax, DecisionTree, SplitPrecompute, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -257,23 +257,14 @@ impl RandomForest {
     }
 
     /// Predicted class: argmax of [`RandomForest::predict_proba`]
-    /// (probability > 0.5 in the binary case, matching the paper).
+    /// (ties go to the higher class index).
     pub fn predict(&self, features: &[f64]) -> usize {
-        Self::argmax(&self.predict_proba(features))
+        argmax(&self.predict_proba(features))
     }
 
     /// Predicted class for row `i` of a columnar dataset.
     pub fn predict_row(&self, data: &Dataset, i: usize) -> usize {
-        Self::argmax(&self.predict_proba_row(data, i))
-    }
-
-    fn argmax(probs: &[f64]) -> usize {
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
+        argmax(&self.predict_proba_row(data, i))
     }
 
     /// Probability of the positive class (class 1) — binary

@@ -1,6 +1,6 @@
 //! CART decision trees with gini impurity.
 //!
-//! Split search runs over a [`SplitPrecompute`]: every feature's
+//! Split search runs over a `SplitPrecompute`: every feature's
 //! values are sorted **once per forest** and replaced by dense rank
 //! codes, so a node's split scan is a counting pass over its rows plus
 //! a sweep of the occupied ranks in ascending order — no per-node
@@ -118,6 +118,39 @@ pub(crate) fn gini(counts: &[f64], total: f64) -> f64 {
     1.0 - sum_sq / (total * total)
 }
 
+/// Index of the largest probability; ties go to the higher class
+/// index, so a binary 0.5/0.5 distribution predicts class 1.
+pub(crate) fn argmax(probs: &[f64]) -> usize {
+    probs
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
+        .map(|(i, _)| i)
+        .expect("at least two classes")
+}
+
+/// Class-count buffer of the split sweep. A fixed-size array keeps the
+/// common class counts in registers with the width known at compile
+/// time; a `Vec` serves any other count through the same scan body.
+trait CountBuf: AsRef<[f64]> + AsMut<[f64]> {
+    /// A buffer holding a copy of `counts`.
+    fn copied(counts: &[f64]) -> Self;
+}
+
+impl<const C: usize> CountBuf for [f64; C] {
+    fn copied(counts: &[f64]) -> Self {
+        counts
+            .try_into()
+            .expect("class count matches the buffer width")
+    }
+}
+
+impl CountBuf for Vec<f64> {
+    fn copied(counts: &[f64]) -> Self {
+        counts.to_vec()
+    }
+}
+
 /// Rank-coded feature columns, computed once per forest and shared by
 /// all of its trees.
 ///
@@ -216,9 +249,6 @@ struct GrowContext<'a> {
     /// Gathered `coded_labels << 32 | multiplicity` of a small node,
     /// sorted to scan runs of equal slots.
     sorted_slots: Vec<u64>,
-    /// Reusable prefix/suffix class-count buffers for the sweep.
-    left_buf: Vec<f64>,
-    right_buf: Vec<f64>,
     /// Left-child class counts of the best boundary found so far.
     split_counts: Vec<f64>,
     /// Reusable identity permutation for the per-node feature draw.
@@ -264,8 +294,6 @@ impl<'a> GrowContext<'a> {
             scratch: Vec::with_capacity(len),
             hist: vec![0; pre.max_distinct * data.class_count()],
             sorted_slots: Vec::with_capacity(len),
-            left_buf: vec![0.0; data.class_count()],
-            right_buf: vec![0.0; data.class_count()],
             split_counts: vec![0.0; data.class_count()],
             feature_order: Vec::with_capacity(pre.feature_count()),
             constant: pre.uniques.iter().map(|u| u.len() < 2).collect(),
@@ -608,12 +636,11 @@ impl DecisionTree {
             ctx.feature_order.swap(i, j);
         }
 
-        // The common class counts get a monomorphized scan whose count
-        // buffers are fixed-size arrays (registers, no bounds checks).
-        // Every arithmetic operation runs in the same order as the
-        // dynamic scan, so the results are bitwise identical.
+        // Two and three classes keep their prefix counts in fixed-size
+        // arrays (registers, no bounds checks); any other count uses a
+        // `Vec`. One body serves both, so the arithmetic cannot differ.
         match self.class_count {
-            2 => Self::scan_features::<2>(
+            2 => Self::scan_features::<[f64; 2]>(
                 ctx,
                 start,
                 end,
@@ -623,7 +650,7 @@ impl DecisionTree {
                 max_features,
                 params,
             ),
-            3 => Self::scan_features::<3>(
+            3 => Self::scan_features::<[f64; 3]>(
                 ctx,
                 start,
                 end,
@@ -633,7 +660,7 @@ impl DecisionTree {
                 max_features,
                 params,
             ),
-            _ => self.scan_features_dyn(
+            _ => Self::scan_features::<Vec<f64>>(
                 ctx,
                 start,
                 end,
@@ -646,10 +673,12 @@ impl DecisionTree {
         }
     }
 
-    /// Split scan monomorphized over the class count. Must stay in
-    /// operation-for-operation lockstep with [`Self::scan_features_dyn`].
+    /// Scores every boundary of the first `max_features` features of
+    /// `ctx.feature_order` over the node `[start, end)` and returns the
+    /// best, with its left-child class counts in `ctx.split_counts`.
+    /// `K` holds the prefix and suffix class counts of the sweep.
     #[allow(clippy::too_many_arguments)]
-    fn scan_features<const C: usize>(
+    fn scan_features<K: CountBuf>(
         ctx: &mut GrowContext,
         start: usize,
         end: usize,
@@ -662,7 +691,9 @@ impl DecisionTree {
         // Entries steer cost only (dense or sparse, probe width); every
         // count the split depends on is weighted by multiplicity.
         let entries = end - start;
-        let parent: [f64; C] = parent_counts.try_into().expect("class count");
+        let mut left = K::copied(parent_counts);
+        let mut right = K::copied(parent_counts);
+        let c = left.as_ref().len();
         let GrowContext {
             pre,
             order,
@@ -678,8 +709,14 @@ impl DecisionTree {
         let node = &order[start..end];
         let mut best: Option<(usize, f64, f64, usize, u32)> = None;
 
-        let evaluate = |left: &[f64; C],
-                        right: &[f64; C],
+        // Scores one boundary between consecutive present ranks `code`
+        // and `next_code`, given the prefix counts up to and including
+        // `code`'s bucket. Zero-gain splits are admissible (as in
+        // scikit-learn's CART): children may become separable even when
+        // this level's gain is zero (e.g. XOR). Termination is still
+        // guaranteed because both children are strictly smaller.
+        let evaluate = |left: &[f64],
+                        right: &[f64],
                         left_n: f64,
                         right_n: f64,
                         code: usize,
@@ -719,8 +756,10 @@ impl DecisionTree {
             let k = uniq.len();
             let slots = &pre.coded_labels[feature];
 
-            let mut left = [0.0_f64; C];
-            let mut right = parent;
+            let left = left.as_mut();
+            let right = right.as_mut();
+            left.fill(0.0);
+            right.copy_from_slice(parent_counts);
             let mut left_n = 0.0;
             let mut right_n = n as f64;
             let mut prev: Option<usize> = None;
@@ -735,233 +774,6 @@ impl DecisionTree {
             // a large `k`. The probe aborts once the range provably
             // exceeds the dense threshold (the sparse path needs no
             // range).
-            let (code_lo, code_hi, dense) = if 4 * entries >= k {
-                stats.rows_scanned += entries as u64;
-                let mut min_slot = u32::MAX;
-                let mut max_slot = 0u32;
-                for &(row, weight) in node {
-                    let slot = slots[row as usize];
-                    hist[slot as usize] += weight;
-                    min_slot = min_slot.min(slot);
-                    max_slot = max_slot.max(slot);
-                }
-                (min_slot as usize / C, max_slot as usize / C, true)
-            } else {
-                let wide = ((4 * entries + 1) * C) as u32;
-                let mut min_slot = u32::MAX;
-                let mut max_slot = 0u32;
-                let mut aborted = false;
-                let mut probed = 0u64;
-                for &(row, _) in node {
-                    let slot = slots[row as usize];
-                    probed += 1;
-                    min_slot = min_slot.min(slot);
-                    max_slot = max_slot.max(slot);
-                    if max_slot - min_slot >= wide {
-                        aborted = true;
-                        break;
-                    }
-                }
-                stats.rows_scanned += probed;
-                let lo = min_slot as usize / C;
-                let hi = max_slot as usize / C;
-                if !aborted && 4 * entries > hi - lo {
-                    stats.rows_scanned += entries as u64;
-                    for &(row, weight) in node {
-                        hist[slots[row as usize] as usize] += weight;
-                    }
-                    (lo, hi, true)
-                } else {
-                    (lo, hi, false)
-                }
-            };
-
-            if dense {
-                stats.dense_scans += 1;
-            } else {
-                stats.sparse_scans += 1;
-            }
-
-            if dense && code_lo == code_hi {
-                // One rank in this node: constant for the subtree.
-                constant[feature] = true;
-                constant_marks.push(feature as u32);
-                hist[code_lo * C..(code_hi + 1) * C]
-                    .iter_mut()
-                    .for_each(|v| *v = 0);
-                continue;
-            }
-
-            if dense {
-                for code in code_lo..=code_hi {
-                    let base = code * C;
-                    let bucket: &[u32; C] =
-                        (&hist[base..base + C]).try_into().expect("bucket width");
-                    let mut bucket_n = 0u32;
-                    for &count in bucket {
-                        bucket_n += count;
-                    }
-                    if bucket_n == 0 {
-                        continue;
-                    }
-                    if let Some(p) = prev {
-                        evaluate(
-                            &left,
-                            &right,
-                            left_n,
-                            right_n,
-                            p,
-                            code,
-                            feature,
-                            uniq,
-                            &mut best,
-                            split_counts,
-                        );
-                    }
-                    for j in 0..C {
-                        let cnt = bucket[j] as f64;
-                        left[j] += cnt;
-                        right[j] -= cnt;
-                    }
-                    left_n += bucket_n as f64;
-                    right_n -= bucket_n as f64;
-                    prev = Some(code);
-                }
-                hist[code_lo * C..(code_hi + 1) * C]
-                    .iter_mut()
-                    .for_each(|v| *v = 0);
-            } else {
-                stats.rows_scanned += entries as u64;
-                sorted_slots.clear();
-                sorted_slots.extend(
-                    node.iter()
-                        .map(|&(row, weight)| (slots[row as usize] as u64) << 32 | weight as u64),
-                );
-                sorted_slots.sort_unstable();
-                let mut i = 0;
-                while i < sorted_slots.len() {
-                    let code = (sorted_slots[i] >> 32) as usize / C;
-                    if let Some(p) = prev {
-                        evaluate(
-                            &left,
-                            &right,
-                            left_n,
-                            right_n,
-                            p,
-                            code,
-                            feature,
-                            uniq,
-                            &mut best,
-                            split_counts,
-                        );
-                    }
-                    let stop = (((code + 1) * C) as u64) << 32;
-                    let base = code * C;
-                    while i < sorted_slots.len() && sorted_slots[i] < stop {
-                        let label = (sorted_slots[i] >> 32) as usize - base;
-                        let weight = sorted_slots[i] as u32 as f64;
-                        left[label] += weight;
-                        right[label] -= weight;
-                        left_n += weight;
-                        right_n -= weight;
-                        i += 1;
-                    }
-                    prev = Some(code);
-                }
-            }
-        }
-        best
-    }
-
-    /// Dynamic-class-count split scan; the fallback for datasets whose
-    /// class count has no monomorphized variant.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_features_dyn(
-        &self,
-        ctx: &mut GrowContext,
-        start: usize,
-        end: usize,
-        n: usize,
-        parent_counts: &[f64],
-        parent_gini: f64,
-        max_features: usize,
-        params: &TreeParams,
-    ) -> Option<(usize, f64, f64, usize, u32)> {
-        let entries = end - start;
-        let c = self.class_count;
-
-        let GrowContext {
-            pre,
-            order,
-            hist,
-            sorted_slots,
-            left_buf,
-            right_buf,
-            split_counts,
-            feature_order,
-            constant,
-            constant_marks,
-            stats,
-            ..
-        } = ctx;
-        let node = &order[start..end];
-        let mut best: Option<(usize, f64, f64, usize, u32)> = None;
-
-        // Scores one boundary between consecutive present ranks `code`
-        // and `next_code`, given the prefix counts up to and including
-        // `code`'s bucket. Zero-gain splits are admissible (as in
-        // scikit-learn's CART): children may become separable even when
-        // this level's gain is zero (e.g. XOR). Termination is still
-        // guaranteed because both children are strictly smaller.
-        let evaluate = |left_buf: &[f64],
-                        right_buf: &[f64],
-                        left_n: f64,
-                        right_n: f64,
-                        code: usize,
-                        next_code: usize,
-                        feature: usize,
-                        uniq: &[f64],
-                        best: &mut Option<(usize, f64, f64, usize, u32)>,
-                        best_counts: &mut [f64]| {
-            let left_size = left_n as usize;
-            let right_size = n - left_size;
-            if left_size < params.min_samples_leaf || right_size < params.min_samples_leaf {
-                return;
-            }
-            let weighted = (left_n / n as f64) * gini(left_buf, left_n)
-                + (right_n / n as f64) * gini(right_buf, right_n);
-            let decrease = (parent_gini - weighted).max(0.0);
-            match best {
-                Some((_, _, best_dec, _, _)) if *best_dec >= decrease => {}
-                _ => {
-                    *best = Some((
-                        feature,
-                        threshold_between(uniq[code], uniq[next_code]),
-                        decrease,
-                        left_size,
-                        code as u32,
-                    ));
-                    best_counts.copy_from_slice(left_buf);
-                }
-            }
-        };
-
-        for &feature in &feature_order[..max_features] {
-            if constant[feature] {
-                continue; // constant globally or within this subtree
-            }
-            let uniq = &pre.uniques[feature][..];
-            let k = uniq.len();
-            let slots = &pre.coded_labels[feature];
-
-            left_buf.iter_mut().for_each(|v| *v = 0.0);
-            right_buf.copy_from_slice(parent_counts);
-            let mut left_n = 0.0;
-            let mut right_n = n as f64;
-            let mut prev: Option<usize> = None;
-
-            // Same dense/sparse choice as the monomorphized scan; see
-            // the comment there.
             let (code_lo, code_hi, dense) = if 4 * entries >= k {
                 stats.rows_scanned += entries as u64;
                 let mut min_slot = u32::MAX;
@@ -1013,26 +825,21 @@ impl DecisionTree {
                 // One rank in this node: constant for the subtree.
                 constant[feature] = true;
                 constant_marks.push(feature as u32);
-                hist[code_lo * c..(code_hi + 1) * c]
-                    .iter_mut()
-                    .for_each(|v| *v = 0);
+                hist[code_lo * c..(code_hi + 1) * c].fill(0);
                 continue;
             }
 
             if dense {
                 for code in code_lo..=code_hi {
-                    let base = code * c;
-                    let mut bucket_n = 0u32;
-                    for j in 0..c {
-                        bucket_n += hist[base + j];
-                    }
+                    let bucket = &hist[code * c..][..c];
+                    let bucket_n: u32 = bucket.iter().sum();
                     if bucket_n == 0 {
                         continue;
                     }
                     if let Some(p) = prev {
                         evaluate(
-                            left_buf,
-                            right_buf,
+                            left,
+                            right,
                             left_n,
                             right_n,
                             p,
@@ -1043,18 +850,15 @@ impl DecisionTree {
                             split_counts,
                         );
                     }
-                    for j in 0..c {
-                        let cnt = hist[base + j] as f64;
-                        left_buf[j] += cnt;
-                        right_buf[j] -= cnt;
+                    for ((l, r), &cnt) in left.iter_mut().zip(right.iter_mut()).zip(bucket) {
+                        *l += cnt as f64;
+                        *r -= cnt as f64;
                     }
                     left_n += bucket_n as f64;
                     right_n -= bucket_n as f64;
                     prev = Some(code);
                 }
-                hist[code_lo * c..(code_hi + 1) * c]
-                    .iter_mut()
-                    .for_each(|v| *v = 0);
+                hist[code_lo * c..(code_hi + 1) * c].fill(0);
             } else {
                 // Sparse (small node, many ranks): gather the node's
                 // slots, each with its multiplicity in the low word, and
@@ -1071,8 +875,8 @@ impl DecisionTree {
                     let code = (sorted_slots[i] >> 32) as usize / c;
                     if let Some(p) = prev {
                         evaluate(
-                            left_buf,
-                            right_buf,
+                            left,
+                            right,
                             left_n,
                             right_n,
                             p,
@@ -1088,8 +892,8 @@ impl DecisionTree {
                     while i < sorted_slots.len() && sorted_slots[i] < stop {
                         let label = (sorted_slots[i] >> 32) as usize - base;
                         let weight = sorted_slots[i] as u32 as f64;
-                        left_buf[label] += weight;
-                        right_buf[label] -= weight;
+                        left[label] += weight;
+                        right[label] -= weight;
                         left_n += weight;
                         right_n -= weight;
                         i += 1;
@@ -1103,43 +907,23 @@ impl DecisionTree {
 
     /// Class-probability estimates for one feature vector.
     pub fn predict_proba(&self, features: &[f64]) -> &[f64] {
-        assert_eq!(
-            features.len(),
-            self.feature_count,
-            "expected {} features, got {}",
-            self.feature_count,
-            features.len()
-        );
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { probabilities } => return probabilities,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
+        self.walk(features.len(), |f| features[f])
     }
 
     /// Class-probability estimates for row `i` of a columnar dataset,
     /// reading only the features the tree path touches (no row
     /// gather).
     pub fn predict_proba_row(&self, data: &Dataset, i: usize) -> &[f64] {
+        self.walk(data.feature_count(), |f| data.value(i, f))
+    }
+
+    /// Leaf distribution reached from the root, reading each tested
+    /// feature through `value`; `feature_count` is the caller's width.
+    fn walk(&self, feature_count: usize, value: impl Fn(usize) -> f64) -> &[f64] {
         assert_eq!(
-            data.feature_count(),
-            self.feature_count,
-            "expected {} features, got {}",
-            self.feature_count,
-            data.feature_count()
+            feature_count, self.feature_count,
+            "expected {} features, got {feature_count}",
+            self.feature_count
         );
         let mut idx = 0usize;
         loop {
@@ -1151,7 +935,7 @@ impl DecisionTree {
                     left,
                     right,
                 } => {
-                    idx = if data.value(i, *feature) <= *threshold {
+                    idx = if value(*feature) <= *threshold {
                         *left
                     } else {
                         *right
@@ -1161,24 +945,15 @@ impl DecisionTree {
         }
     }
 
-    /// Predicted class (argmax of probabilities; ties go to the lower
-    /// class index).
+    /// Predicted class: the argmax of the probabilities (ties go to the
+    /// higher class index).
     pub fn predict(&self, features: &[f64]) -> usize {
-        Self::argmax(self.predict_proba(features))
+        argmax(self.predict_proba(features))
     }
 
     /// Predicted class for row `i` of a columnar dataset.
     pub fn predict_row(&self, data: &Dataset, i: usize) -> usize {
-        Self::argmax(self.predict_proba_row(data, i))
-    }
-
-    fn argmax(probs: &[f64]) -> usize {
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
+        argmax(self.predict_proba_row(data, i))
     }
 
     /// Unnormalized gini importances (one per feature).
@@ -1682,6 +1457,93 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(44);
         let short = DecisionTree::fit(&d, &draws[1..], &params, 1, &mut rng);
         assert_eq!(short.node_count(), 1);
+    }
+
+    /// What one split scan decides, with floats as bits: the best
+    /// `(feature, threshold, decrease, left size, code)`, its left
+    /// counts, the dense and sparse scan counts and the constant marks.
+    type ScanOutcome = (
+        Option<(usize, u64, u64, usize, u32)>,
+        Vec<u64>,
+        (u64, u64),
+        Vec<u32>,
+    );
+
+    /// Scans every feature of the node `order[start..end]` of a fresh
+    /// context over `bag`, keeping prefix counts in a `K`.
+    fn scan_node<K: CountBuf>(
+        d: &Dataset,
+        bag: &[(u32, u32)],
+        (start, end): (usize, usize),
+        min_samples_leaf: usize,
+    ) -> ScanOutcome {
+        let rows: Vec<usize> = bag.iter().map(|&(row, _)| row as usize).collect();
+        let pre = SplitPrecompute::build(d, &rows);
+        let mut ctx = GrowContext::build(&pre, d, bag.to_vec());
+        let counts = ctx.counts(start, end, d.class_count());
+        let n: usize = bag[start..end].iter().map(|&(_, m)| m as usize).sum();
+        ctx.feature_order.extend(0..d.feature_count());
+        let params = TreeParams {
+            min_samples_leaf,
+            ..TreeParams::default()
+        };
+        let best = DecisionTree::scan_features::<K>(
+            &mut ctx,
+            start,
+            end,
+            n,
+            &counts,
+            gini(&counts, n as f64),
+            d.feature_count(),
+            &params,
+        );
+        (
+            best.map(|(f, t, dec, size, code)| (f, t.to_bits(), dec.to_bits(), size, code)),
+            ctx.split_counts.iter().map(|v| v.to_bits()).collect(),
+            (ctx.stats.dense_scans, ctx.stats.sparse_scans),
+            ctx.constant_marks,
+        )
+    }
+
+    #[test]
+    fn array_and_vec_count_buffers_scan_alike() {
+        let mut covered = (0, 0, 0);
+        for classes in [2, 3] {
+            // f0 few ranks (dense), f1 scattered ranks (sparse on small
+            // nodes), f2 constant over runs of 20 rows, f3 constant.
+            let mut d = Dataset::new((0..4).map(|f| format!("f{f}")).collect(), classes);
+            for i in 0..200 {
+                let row = vec![
+                    (i % 5) as f64,
+                    ((i * 37) % 200) as f64,
+                    (i / 20) as f64,
+                    1.0,
+                ];
+                d.push(row, (i * 7 % 11 + i / 50) % classes);
+            }
+            let bag: Vec<(u32, u32)> = (0..200u32)
+                .filter(|i| i % 5 != 2)
+                .map(|i| (i, 1 + i % 3))
+                .collect();
+            for node in [(0, bag.len()), (40, 90), (0, 12), (3, 9)] {
+                for leaf in [1, 4] {
+                    let want = scan_node::<Vec<f64>>(&d, &bag, node, leaf);
+                    let got = match classes {
+                        2 => scan_node::<[f64; 2]>(&d, &bag, node, leaf),
+                        _ => scan_node::<[f64; 3]>(&d, &bag, node, leaf),
+                    };
+                    assert_eq!(got, want, "{classes} classes, node {node:?}, leaf {leaf}");
+                    assert!(want.0.is_some(), "node {node:?} splits");
+                    covered.0 += want.2 .0;
+                    covered.1 += want.2 .1;
+                    covered.2 += want.3.len();
+                }
+            }
+        }
+        assert!(
+            covered.0 > 0 && covered.1 > 0 && covered.2 > 0,
+            "dense, sparse and constant-in-node scans all ran: {covered:?}"
+        );
     }
 
     #[test]
