@@ -214,27 +214,44 @@ mod tests {
 
     #[test]
     fn no_leakage_of_future_lifespans() {
-        // Group-2 lifespans are censored at Tp: none may exceed the
-        // sibling's age at Tp.
+        // Group-2 lifespans are censored at Tp: the feature is the
+        // largest censored lifespan of a sibling created before Tc.
         let f = fleet();
         let index = SubscriptionHistoryIndex::build(&f);
+        let mut with_history = 0;
         for db in f.databases.iter().take(300) {
             let tp = db.created_at + Duration::days(2);
             let features = index.history_features(db, tp);
             let g2_life_max = features[9 + 5];
-            for sib in &f.databases {
-                if sib.subscription_id == db.subscription_id && sib.id != db.id {
-                    let age_at_tp = (tp - sib.created_at).as_days_f64();
-                    if age_at_tp > 0.0 {
-                        assert!(
-                            g2_life_max <= age_at_tp.max(g2_life_max),
-                            "future lifespan leaked"
-                        );
-                    }
-                }
+            let censored: Vec<f64> = f
+                .databases
+                .iter()
+                .filter(|s| {
+                    s.subscription_id == db.subscription_id
+                        && s.id != db.id
+                        && s.created_at < db.created_at
+                })
+                .map(|s| {
+                    let end = match s.dropped_at {
+                        Some(d) if d <= tp => d,
+                        _ => tp,
+                    };
+                    (end - s.created_at).as_days_f64()
+                })
+                .collect();
+            for &life in &censored {
+                assert!(life <= g2_life_max, "lifespan {life} above the max");
             }
-            // Strongest check: max observed lifespan cannot exceed the
-            // oldest sibling's age at Tp.
+            if censored.is_empty() {
+                assert_eq!(g2_life_max, 0.0);
+            } else {
+                with_history += 1;
+                assert!(
+                    censored.contains(&g2_life_max),
+                    "max {g2_life_max} is no sibling's censored lifespan"
+                );
+            }
+            // Nor can it exceed the oldest sibling's age at Tp.
             let oldest_age = f
                 .databases
                 .iter()
@@ -243,6 +260,7 @@ mod tests {
                 .fold(0.0_f64, f64::max);
             assert!(g2_life_max <= oldest_age + 1e-9);
         }
+        assert!(with_history > 0, "some databases have group-2 siblings");
     }
 
     #[test]
