@@ -1,4 +1,4 @@
-//! Text exposition of a [`Snapshot`](crate::Snapshot) — the body a
+//! Text exposition of a [`Snapshot`] — the body a
 //! metrics endpoint serves.
 //!
 //! Prometheus-flavored line format: one `family{label="key"} value`

@@ -9,7 +9,7 @@ thread_local! {
 }
 
 /// Opens a span named `name` nested under the thread's current span
-/// path. Prefer the [`span!`](crate::span) macro.
+/// path. Prefer the [`span!`](crate::span!) macro.
 ///
 /// With no registry installed this is a single atomic load and the
 /// returned guard is inert.

@@ -11,7 +11,7 @@
 //!   integer [`CostModel`] (provision / migration / premium-carrying
 //!   costs and misprediction penalties), probability [`ActionBands`],
 //!   and per-(region, edition) [`SubgroupKey`] overrides.
-//! - [`decide`] — the decision function: `(score, confidence split,
+//! - [`decide`](mod@decide) — the decision function: `(score, confidence split,
 //!   bands) → Action`, plus shard-mergeable [`DecisionSummary`]
 //!   accounting against the clairvoyant oracle and the
 //!   always-/never-provision baselines.

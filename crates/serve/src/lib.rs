@@ -7,7 +7,7 @@
 //! (grid search over a forest grid with 5-fold CV); scoring it is
 //! cheap. This crate separates the two:
 //!
-//! - [`format`] — the `survdb-model/v1` on-disk format: a versioned,
+//! - [`format`](mod@format) — the `survdb-model/v1` on-disk format: a versioned,
 //!   byte-deterministic JSON document holding the forest (flat-array
 //!   node layout), the feature schema, the training prevalence `q`,
 //!   and grid-search provenance. [`SavedModel::save`] /
