@@ -639,38 +639,21 @@ impl DecisionTree {
         // Two and three classes keep their prefix counts in fixed-size
         // arrays (registers, no bounds checks); any other count uses a
         // `Vec`. One body serves both, so the arithmetic cannot differ.
-        match self.class_count {
-            2 => Self::scan_features::<[f64; 2]>(
-                ctx,
-                start,
-                end,
-                n,
-                parent_counts,
-                parent_gini,
-                max_features,
-                params,
-            ),
-            3 => Self::scan_features::<[f64; 3]>(
-                ctx,
-                start,
-                end,
-                n,
-                parent_counts,
-                parent_gini,
-                max_features,
-                params,
-            ),
-            _ => Self::scan_features::<Vec<f64>>(
-                ctx,
-                start,
-                end,
-                n,
-                parent_counts,
-                parent_gini,
-                max_features,
-                params,
-            ),
-        }
+        let scan = match self.class_count {
+            2 => Self::scan_features::<[f64; 2]>,
+            3 => Self::scan_features::<[f64; 3]>,
+            _ => Self::scan_features::<Vec<f64>>,
+        };
+        scan(
+            ctx,
+            start,
+            end,
+            n,
+            parent_counts,
+            parent_gini,
+            max_features,
+            params,
+        )
     }
 
     /// Scores every boundary of the first `max_features` features of

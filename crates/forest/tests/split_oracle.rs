@@ -16,8 +16,8 @@
 //!   multiplicity;
 //! * per feature, the importance equals Σ (n / total) × decrease.
 //!
-//! Two and three classes run the trainer's monomorphized scans; four
-//! runs its dynamic fallback. Tie-heavy features take the dense
+//! Two and three classes run the trainer's scan with fixed-size count
+//! arrays; four runs it with a `Vec`. Tie-heavy features take the dense
 //! (histogram) scan and fine-grained ones the sparse (sorted) scan.
 //!
 //! Which of several equal-decrease splits wins depends on the RNG's
