@@ -17,8 +17,9 @@
 //! * per feature, the importance equals Σ (n / total) × decrease.
 //!
 //! Two and three classes run the trainer's scan with fixed-size count
-//! arrays; four runs it with a `Vec`. Tie-heavy features take the dense
-//! (histogram) scan and fine-grained ones the sparse (sorted) scan.
+//! arrays; four runs it with a `Vec`. Tie-heavy features occupy a few
+//! ranks of the scan's occupancy bitset; fine-grained ones occupy ranks
+//! across several of its 64-rank words.
 //!
 //! Which of several equal-decrease splits wins depends on the RNG's
 //! feature order, so tie order is not asserted. `Dataset::push`
@@ -52,12 +53,12 @@ fn random_case(
 ) -> (Dataset, Vec<usize>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     // Each feature draws from its own 1–4 levels (one level makes the
-    // feature constant), or from a 64-value grid: far more ranks than a
-    // small node holds, which sends the trainer's scan down its sparse
-    // (sort-the-node) path.
+    // feature constant), or from a 256-value grid: far more ranks than a
+    // small node holds, and on larger draws more than one 64-rank word
+    // of the trainer's occupancy bitset, so scans cross word edges.
     let feature_levels: Vec<Vec<f64>> = (0..n_features)
         .map(|_| match rng.gen_range(1..=6) {
-            5 | 6 => (0..64).map(|i| i as f64 / 8.0 - 4.0).collect(),
+            5 | 6 => (0..256).map(|i| i as f64 / 32.0 - 4.0).collect(),
             k => (0..k)
                 .map(|_| LEVELS[rng.gen_range(0..LEVELS.len())])
                 .collect(),
@@ -210,7 +211,7 @@ proptest! {
     #[test]
     fn every_node_matches_the_brute_force_gini_search(
         seed in any::<u64>(),
-        n_rows in 2usize..=120,
+        n_rows in 2usize..=300,
         n_features in 1usize..=4,
         n_classes in 2usize..=4,
         max_depth in 0usize..=10,

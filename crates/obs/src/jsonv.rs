@@ -172,11 +172,13 @@ fn push_indent(out: &mut String, indent: usize) {
 /// read as floats downstream, everything else prints Rust's
 /// shortest-roundtrip form, and non-finite values become `null`.
 pub fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write;
+    // Writing to a `String` cannot fail.
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(&format!("{v:.1}"));
+            let _ = write!(out, "{v:.1}");
         } else {
-            out.push_str(&format!("{v}"));
+            let _ = write!(out, "{v}");
         }
     } else {
         out.push_str("null");
@@ -450,6 +452,44 @@ mod tests {
         let mut f = String::new();
         push_f64(&mut f, 17.0);
         assert_eq!(f, "17.0");
+    }
+
+    #[test]
+    fn floats_render_like_their_format_strings() {
+        // (value, rendering where a literal pins it)
+        let cases = [
+            (0.0, Some("0.0")),
+            (-0.0, Some("-0.0")),
+            (17.0, Some("17.0")),
+            (-3.0, Some("-3.0")),
+            (1e15 - 1.0, Some("999999999999999.0")),
+            (1e15, Some("1000000000000000")),
+            (-1e15, Some("-1000000000000000")),
+            (0.1, Some("0.1")),
+            (f64::MIN_POSITIVE / 2.0, None),
+            (f64::from_bits(1), None),
+            (f64::MAX, None),
+            (f64::MIN, None),
+            (f64::NAN, Some("null")),
+            (f64::INFINITY, Some("null")),
+            (f64::NEG_INFINITY, Some("null")),
+        ];
+        for (v, pinned) in cases {
+            // The prefix checks that the rendering is appended.
+            let mut got = String::from("[");
+            push_f64(&mut got, v);
+            let want = if !v.is_finite() {
+                "null".to_string()
+            } else if v == v.trunc() && v.abs() < 1e15 {
+                format!("{v:.1}")
+            } else {
+                format!("{v}")
+            };
+            assert_eq!(got[1..], want, "{v:e}");
+            if let Some(pinned) = pinned {
+                assert_eq!(got[1..], *pinned, "{v:e}");
+            }
+        }
     }
 
     #[test]

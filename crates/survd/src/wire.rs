@@ -41,6 +41,7 @@
 use forest::ConfidenceSplit;
 use obs::jsonv::{self, JsonV};
 use serve::ScoredRow;
+use std::fmt;
 
 /// Response schema identifier.
 pub const RESPONSE_SCHEMA: &str = "survdb-score-response/v2";
@@ -86,7 +87,9 @@ pub struct ScoreResponse {
     pub results: Vec<RowScore>,
 }
 
-fn number(v: &JsonV, what: &str) -> Result<f64, String> {
+/// `v` as an `f64`; `what` names it in the error and is formatted only
+/// there, so a valid row costs no label.
+fn number(v: &JsonV, what: fmt::Arguments) -> Result<f64, String> {
     match v {
         JsonV::Float(f) => Ok(*f),
         JsonV::UInt(u) => Ok(*u as f64),
@@ -136,7 +139,7 @@ pub fn parse_score_request(
         }
         let mut row = Vec::with_capacity(values.len());
         for (j, value) in values.iter().enumerate() {
-            let v = number(value, &format!("rows[{i}][{j}]"))?;
+            let v = number(value, format_args!("rows[{i}][{j}]"))?;
             if !v.is_finite() {
                 return Err(format!("rows[{i}][{j}] is not finite"));
             }
@@ -204,7 +207,7 @@ pub fn parse_score_response(text: &str) -> Result<ScoreResponse, String> {
     };
     let threshold = number(
         root.get("threshold").ok_or("missing threshold")?,
-        "threshold",
+        format_args!("threshold"),
     )?;
     let Some(JsonV::Arr(raw)) = root.get("results") else {
         return Err("results must be an array".to_string());
@@ -214,7 +217,7 @@ pub fn parse_score_response(text: &str) -> Result<ScoreResponse, String> {
         let positive = number(
             item.get("positive")
                 .ok_or(format!("results[{i}]: missing positive"))?,
-            "positive",
+            format_args!("positive"),
         )?;
         let predicted = match item.get("predicted") {
             Some(JsonV::UInt(v)) => *v as usize,
@@ -285,6 +288,18 @@ mod tests {
         // Row cap.
         let body = render_score_request(&vec![vec![0.0, 0.0]; 17]);
         assert!(parse_score_request(&body, 2, 16).is_err());
+    }
+
+    #[test]
+    fn cell_rejections_name_the_cell() {
+        assert_eq!(
+            parse_score_request("{\"rows\": [[0, 1, 2], [3, 4, \"x\"]]}", 3, 16),
+            Err("rows[1][2] must be a number, found Str(\"x\")".to_string())
+        );
+        assert_eq!(
+            parse_score_request("{\"rows\": [[0, 1, 2, 1e999]]}", 4, 16),
+            Err("rows[0][3] is not finite".to_string())
+        );
     }
 
     #[test]

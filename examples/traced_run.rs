@@ -43,7 +43,7 @@ fn main() {
     print!("{}", survdb::report::phase_table(&snapshot));
 
     // Typed counters flushed by the instrumented layers: tree builds,
-    // node expansions, dense/sparse split scans, free-list reuse,
+    // node expansions, split scans, free-list reuse,
     // out-of-bag tallies, CV folds, feature rows.
     println!("\ncounters:");
     print!("{}", survdb::report::counter_table(&snapshot));
