@@ -318,9 +318,10 @@ impl Experiment {
             );
 
             // Forest predictions on the test set.
-            let probs: Vec<f64> = test_rows
-                .iter()
-                .map(|&i| model.predict_positive_proba_row(&dataset, i))
+            let probs: Vec<f64> = model
+                .predict_proba_rows(&dataset, &test_rows)
+                .chunks_exact(model.class_count())
+                .map(|p| p[1])
                 .collect();
             let predicted: Vec<usize> = probs.iter().map(|&p| (p > 0.5) as usize).collect();
             let actual: Vec<usize> = test_rows.iter().map(|&i| dataset.label(i)).collect();

@@ -1,5 +1,6 @@
 //! Study-level dataset construction: the three regional populations.
 
+use forest::parallel::run_units;
 use telemetry::{Census, Fleet, FleetConfig, RegionConfig, RegionId};
 
 /// Study parameters.
@@ -30,19 +31,16 @@ pub struct Study {
 }
 
 impl Study {
-    /// Generates all three regional fleets.
+    /// Generates all three regional fleets, one parallel work unit
+    /// each.
     pub fn load(config: StudyConfig) -> Study {
-        let fleets = RegionId::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                Fleet::generate(FleetConfig::new(
-                    RegionConfig::canonical(id).scaled(config.scale),
-                    // Distinct per-region streams from the master seed.
-                    config.seed.wrapping_add(i as u64 * 0x9E37_79B9),
-                ))
-            })
-            .collect();
+        let fleets = run_units(RegionId::ALL.len(), |i| {
+            Fleet::generate(FleetConfig::new(
+                RegionConfig::canonical(RegionId::ALL[i]).scaled(config.scale),
+                // Distinct per-region streams from the master seed.
+                config.seed.wrapping_add(i as u64 * 0x9E37_79B9),
+            ))
+        });
         Study { config, fleets }
     }
 

@@ -8,6 +8,7 @@ use crate::subscription::{
 };
 use crate::time::{time_features, TIME_FEATURE_NAMES};
 use crate::utilization::{utilization_features, UTILIZATION_FEATURE_NAMES};
+use forest::parallel::run_units;
 use forest::Dataset;
 use simtime::Duration;
 use telemetry::{Census, DatabaseRecord, Edition, LifespanClass};
@@ -144,19 +145,63 @@ impl FeatureExtractor {
     /// the fleet database index each row was extracted from — the join
     /// key the policy layer uses to attach region/edition subgroups
     /// and provisioning verdicts back to concrete databases.
+    ///
+    /// The prediction population is cut into contiguous chunks of at
+    /// least `EXTRACT_CHUNK` (256) databases, extracted as parallel work
+    /// units and concatenated in population order, so the result does
+    /// not depend on the thread count.
     pub fn build_dataset_indexed(
         &self,
         census: &Census<'_>,
         edition: Option<Edition>,
     ) -> (Dataset, Vec<(f64, bool)>, Vec<usize>) {
         let _span = obs::span!("build_dataset");
-        let mut dataset = Dataset::new(self.feature_names.clone(), 2);
-        let mut survival = Vec::new();
-        let mut indices = Vec::new();
-        let mut skipped_undecidable = 0u64;
+        let population =
+            census.prediction_population_with_boundary(self.config.x_days, self.config.y_days);
+        let units = (population.len() / EXTRACT_CHUNK).max(1);
+        let parts = run_units(units, |u| {
+            let chunk =
+                &population[u * population.len() / units..(u + 1) * population.len() / units];
+            self.extract_chunk(census, edition, chunk)
+        });
+        let mut parts = parts.into_iter();
+        let mut whole = parts.next().expect("at least one unit");
+        for part in parts {
+            whole.dataset.append(&part.dataset);
+            whole.survival.extend(part.survival);
+            whole.indices.extend(part.indices);
+            whole.skipped_undecidable += part.skipped_undecidable;
+        }
+        if obs::enabled() {
+            obs::count_many(&[
+                ("features.datasets_built", 1),
+                ("features.rows_extracted", whole.dataset.len() as u64),
+                (
+                    "features.rows_skipped_undecidable",
+                    whole.skipped_undecidable,
+                ),
+            ]);
+        }
+        (whole.dataset, whole.survival, whole.indices)
+    }
+
+    /// Extracts the rows of one chunk of the prediction population
+    /// (fleet database indices, ascending).
+    fn extract_chunk(
+        &self,
+        census: &Census<'_>,
+        edition: Option<Edition>,
+        chunk: &[usize],
+    ) -> ExtractedChunk {
+        let mut part = ExtractedChunk {
+            dataset: Dataset::new(self.feature_names.clone(), 2),
+            survival: Vec::new(),
+            indices: Vec::new(),
+            skipped_undecidable: 0,
+        };
         let fleet = census.fleet();
         let y = self.config.y_days;
-        for idx in census.prediction_population_with_boundary(self.config.x_days, y) {
+        for &idx in chunk {
             let db = &fleet.databases[idx];
             if let Some(required) = edition {
                 if db.creation_edition() != required {
@@ -169,27 +214,33 @@ impl FeatureExtractor {
             // leaves the lifespan open inside the window), so skip
             // such rows instead of panicking.
             let Some(class) = census.classify_with_boundary(db, y) else {
-                skipped_undecidable += 1;
+                part.skipped_undecidable += 1;
                 continue;
             };
             // Ephemeral databases never reach the prediction instant
             // alive; the population filter guarantees this.
             debug_assert_ne!(class, LifespanClass::Ephemeral);
             let label = (class == LifespanClass::LongLived) as usize;
-            dataset.push(self.extract(census, db), label);
+            part.dataset.push(self.extract(census, db), label);
             let (duration, event) = db.observed_lifespan(census.window_end());
-            survival.push((duration.as_days_f64(), event));
-            indices.push(idx);
+            part.survival.push((duration.as_days_f64(), event));
+            part.indices.push(idx);
         }
-        if obs::enabled() {
-            obs::count_many(&[
-                ("features.datasets_built", 1),
-                ("features.rows_extracted", dataset.len() as u64),
-                ("features.rows_skipped_undecidable", skipped_undecidable),
-            ]);
-        }
-        (dataset, survival, indices)
+        part
     }
+}
+
+/// Fewest prediction-population databases per extraction work unit.
+/// A smaller population, such as one streamed fleet shard, stays on
+/// the calling thread.
+const EXTRACT_CHUNK: usize = 256;
+
+/// The rows one extraction unit produced.
+struct ExtractedChunk {
+    dataset: Dataset,
+    survival: Vec<(f64, bool)>,
+    indices: Vec<usize>,
+    skipped_undecidable: u64,
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use crate::data::Dataset;
 use crate::parallel::{derive_seed, run_units};
 use crate::random_forest::{RandomForest, RandomForestParams};
-use crate::tree::SplitPrecompute;
+use crate::tree::{argmax, SplitPrecompute};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,7 +152,8 @@ impl KFold {
 /// the `validation` indices, both views over `data`. `pre` is a
 /// rank-code precompute over (a superset of) the training rows, shared
 /// across folds and candidates. Candidates are ranked purely by
-/// validation accuracy, so fold fits skip the out-of-bag tally.
+/// validation accuracy, so fold fits skip the out-of-bag tally, and
+/// the validation rows go through the batch predictor.
 fn fold_accuracy(
     data: &Dataset,
     pre: &SplitPrecompute,
@@ -163,38 +164,25 @@ fn fold_accuracy(
 ) -> f64 {
     let _span = obs::span!("fold");
     let model = RandomForest::fit_shared(data, pre, train, params, seed, false);
-    let correct = validation
-        .iter()
-        .filter(|&&i| model.predict_row(data, i) == data.label(i))
+    let probabilities = model.predict_proba_rows(data, validation);
+    let correct = probabilities
+        .chunks_exact(model.class_count())
+        .zip(validation)
+        .filter(|&(p, &i)| argmax(p) == data.label(i))
         .count();
     obs::count("forest.cv_folds_completed", 1);
     correct as f64 / validation.len() as f64
 }
 
 /// Mean validation accuracy of a parameter setting under stratified
-/// k-fold cross-validation.
+/// k-fold cross-validation: a [`GridSearch`] over the one setting.
 ///
 /// Folds run as parallel work units; fold `f`'s forest is seeded with
 /// `derive_seed(seed, f)` and the mean is accumulated in fold order,
 /// so the result is independent of thread count.
 pub fn cross_val_accuracy(data: &Dataset, params: &RandomForestParams, k: usize, seed: u64) -> f64 {
     let _span = obs::span!("cross_val");
-    let kfold = KFold::new(data, k, seed);
-    let splits: Vec<(Vec<usize>, Vec<usize>)> = (0..k).map(|f| kfold.split(f)).collect();
-    let rows: Vec<usize> = (0..data.len()).collect();
-    let pre = SplitPrecompute::build(data, &rows);
-    let scores = run_units(k, |fold| {
-        let (train, validation) = &splits[fold];
-        fold_accuracy(
-            data,
-            &pre,
-            train,
-            validation,
-            params,
-            derive_seed(seed, fold as u64),
-        )
-    });
-    scores.iter().sum::<f64>() / k as f64
+    GridSearch::new(vec![*params], k).run(data, seed).best_score
 }
 
 /// The outcome of a grid search.

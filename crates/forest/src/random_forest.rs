@@ -1,7 +1,8 @@
 //! Bootstrap-aggregated random forests.
 
 use crate::data::{Dataset, DatasetView};
-use crate::parallel::{derive_seed, run_units};
+use crate::flatkernel::{ForestKernel, KernelScratch, ROW_TILE};
+use crate::parallel::{derive_seed, run_units, run_units_scratch};
 use crate::tree::{argmax, DecisionTree, SplitPrecompute, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -58,6 +59,43 @@ impl Default for RandomForestParams {
             bootstrap: true,
         }
     }
+}
+
+/// Out-of-bag accuracy from per-tree votes (class + 1 per out-of-bag
+/// position, 0 for a position in the bag): each position's majority
+/// over the trees that left it out, ties going to the higher class.
+/// Positions in every bag do not count; `None` when no position was
+/// voted on. Votes are counts, so the tree order does not matter.
+fn tally_oob(data: &Dataset, rows: &[usize], votes: &[Vec<u32>]) -> Option<f64> {
+    let _span = obs::span!("oob_tally");
+    let c = data.class_count();
+    let mut tally = vec![0u32; rows.len() * c];
+    for tree_votes in votes {
+        for (counts, &vote) in tally.chunks_exact_mut(c).zip(tree_votes) {
+            if vote > 0 {
+                counts[vote as usize - 1] += 1;
+            }
+        }
+    }
+    let mut correct = 0usize;
+    let mut voted = 0usize;
+    for (counts, &row) in tally.chunks_exact(c).zip(rows) {
+        if counts.iter().all(|&v| v == 0) {
+            continue;
+        }
+        voted += 1;
+        let pred = counts
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &v)| v)
+            .map(|(c, _)| c)
+            .expect("non-empty votes");
+        if pred == data.label(row) {
+            correct += 1;
+        }
+    }
+    obs::count("forest.oob_rows_tallied", voted as u64);
+    (voted > 0).then(|| correct as f64 / voted as f64)
 }
 
 /// A fitted random forest.
@@ -147,8 +185,10 @@ impl RandomForest {
         // One work unit per tree. The bootstrap makes `n` draws of a view
         // position and keeps each drawn position once, with its
         // multiplicity; the tree grows on those `(row, multiplicity)`
-        // entries. Each unit returns the tree plus the multiplicities
-        // (by view position) when the OOB tally needs them.
+        // entries. When the OOB tally needs them, the unit then walks
+        // its own out-of-bag positions and returns one vote per view
+        // position: the predicted class + 1, or 0 for a position in
+        // the bag.
         let results: Vec<(DecisionTree, Option<Vec<u32>>)> = run_units(params.n_trees, |t| {
             let mut rng = SmallRng::seed_from_u64(derive_seed(seed, t as u64));
             let (bag, multiplicity) = if params.bootstrap {
@@ -168,58 +208,25 @@ impl RandomForest {
             };
             let tree =
                 DecisionTree::fit_presorted(data, pre, bag, &params.tree, max_features, &mut rng);
-            (tree, multiplicity)
+            let votes = multiplicity.map(|mut votes| {
+                let out_of_bag: Vec<usize> = (0..n).filter(|&p| votes[p] == 0).collect();
+                votes.fill(0);
+                tree.vote_rows(data, rows, &out_of_bag, &mut votes);
+                votes
+            });
+            (tree, votes)
         });
-
-        // Out-of-bag votes, tallied row-major so each row is gathered
-        // once and every tree walks the same contiguous buffer (vote
-        // counts are order-independent, so this matches a per-tree
-        // merge exactly).
-        let oob_accuracy = if params.bootstrap && compute_oob {
-            let mut row = Vec::with_capacity(data.feature_count());
-            let mut votes = vec![0usize; data.class_count()];
-            let mut correct = 0usize;
-            let mut voted = 0usize;
-            for p in 0..n {
-                votes.iter_mut().for_each(|v| *v = 0);
-                let mut gathered = false;
-                for (tree, multiplicity) in &results {
-                    let multiplicity = multiplicity.as_ref().expect("bootstrap trees record bags");
-                    if multiplicity[p] == 0 {
-                        if !gathered {
-                            data.gather_row_into(rows[p], &mut row);
-                            gathered = true;
-                        }
-                        votes[tree.predict(&row)] += 1;
-                    }
-                }
-                let total: usize = votes.iter().sum();
-                if total == 0 {
-                    continue;
-                }
-                voted += 1;
-                let pred = votes
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &v)| v)
-                    .map(|(c, _)| c)
-                    .expect("non-empty votes");
-                if pred == data.label(rows[p]) {
-                    correct += 1;
-                }
-            }
-            obs::count("forest.oob_rows_tallied", voted as u64);
-            if voted > 0 {
-                Some(correct as f64 / voted as f64)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let (trees, votes): (Vec<DecisionTree>, Vec<Option<Vec<u32>>>) =
+            results.into_iter().unzip();
+        // Every tree votes exactly when the bootstrap and the tally
+        // are both on.
+        let oob_accuracy = votes
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .and_then(|votes| tally_oob(data, rows, &votes));
 
         RandomForest {
-            trees: results.into_iter().map(|(tree, _)| tree).collect(),
+            trees,
             feature_names: data.feature_names().to_vec(),
             class_count: data.class_count(),
             oob_accuracy,
@@ -239,6 +246,53 @@ impl RandomForest {
         let mut row = Vec::with_capacity(data.feature_count());
         data.gather_row_into(i, &mut row);
         self.predict_proba(&row)
+    }
+
+    /// Average class probabilities for each listed row of a columnar
+    /// dataset, row-major with [`RandomForest::class_count`] values per
+    /// row — the batch path every training-time prediction takes. The
+    /// forest is linearized once per call into a [`ForestKernel`], and
+    /// each run of [`ROW_TILE`] rows is one parallel work unit that
+    /// gathers its feature-major tile straight from the dataset's
+    /// columns and scores it. The kernel's parity contract makes each
+    /// row bitwise equal to [`RandomForest::predict_proba_row`]. Rows
+    /// may repeat and come in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data`'s feature count differs from the forest's or a
+    /// row is out of range.
+    pub fn predict_proba_rows(&self, data: &Dataset, rows: &[usize]) -> Vec<f64> {
+        let nf = data.feature_count();
+        assert_eq!(
+            nf,
+            self.feature_names.len(),
+            "expected {} features, got {nf}",
+            self.feature_names.len()
+        );
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        let _span = obs::span!("predict_rows");
+        let kernel = ForestKernel::from_forest(self);
+        let tiles: Vec<&[usize]> = rows.chunks(ROW_TILE).collect();
+        run_units_scratch(
+            tiles.len(),
+            || (vec![0.0; nf * ROW_TILE], KernelScratch::new()),
+            |(tile, scratch), i| {
+                let chunk = tiles[i];
+                for (f, slots) in tile.chunks_exact_mut(ROW_TILE).enumerate() {
+                    let column = data.column(f);
+                    for (slot, &row) in slots.iter_mut().zip(chunk) {
+                        *slot = column[row];
+                    }
+                }
+                let mut out = vec![0.0; chunk.len() * self.class_count];
+                kernel.score_tile_into(tile, chunk.len(), scratch, &mut out);
+                out
+            },
+        )
+        .concat()
     }
 
     fn average_probas<'a, F>(&'a self, per_tree: F) -> Vec<f64>
@@ -487,6 +541,60 @@ mod tests {
                 from_view.predict_proba(&d.row(i)),
                 from_copy.predict_proba(&d.row(i))
             );
+        }
+    }
+
+    /// `n` rows of `classes`-class data with a coarse feature, so
+    /// threshold-equal values are common.
+    fn multiclass_dataset(n: usize, classes: usize) -> Dataset {
+        let mut d = Dataset::new(vec!["x0".into(), "x1".into(), "steps".into()], classes);
+        let mut rng = SmallRng::seed_from_u64(classes as u64);
+        for _ in 0..n {
+            let x0: f64 = rng.gen();
+            let x1: f64 = rng.gen();
+            let steps = (rng.gen::<f64>() * 6.0).floor();
+            let label = if rng.gen::<f64>() < 0.15 {
+                rng.gen_range(0..classes)
+            } else {
+                ((x0 * classes as f64) as usize).min(classes - 1)
+            };
+            d.push(vec![x0, x1, steps], label);
+        }
+        d
+    }
+
+    #[test]
+    fn batch_probabilities_match_the_row_walk_bitwise() {
+        for classes in [2, 3, 4] {
+            let d = multiclass_dataset(240, classes);
+            let params = RandomForestParams {
+                n_trees: 9,
+                ..RandomForestParams::default()
+            };
+            let model = RandomForest::fit(&d, &params, 40 + classes as u64);
+            let mut lists: Vec<Vec<usize>> = [0, 1, 63, 64, 65, 200]
+                .iter()
+                .map(|&len| (0..len).map(|i| (i * 7 + 3) % d.len()).collect())
+                .collect();
+            // Unsorted, with repeats spanning tile seams.
+            lists.push(
+                (0..150)
+                    .map(|i| (d.len() - 1 - i * 13 % 97) % d.len())
+                    .collect(),
+            );
+            for rows in &lists {
+                let batch = model.predict_proba_rows(&d, rows);
+                assert_eq!(batch.len(), rows.len() * classes);
+                for (got, &row) in batch.chunks_exact(classes).zip(rows) {
+                    let want = model.predict_proba_row(&d, row);
+                    assert_eq!(
+                        got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                        "{classes} classes, {} rows, row {row}",
+                        rows.len()
+                    );
+                }
+            }
         }
     }
 

@@ -10,6 +10,7 @@
 //! bit-for-bit the same.
 
 use crate::data::Dataset;
+use crate::parallel::run_units_scratch;
 use rand::Rng;
 
 /// Hyper-parameters controlling tree growth.
@@ -177,47 +178,51 @@ pub(crate) struct SplitPrecompute {
 impl SplitPrecompute {
     /// Builds codes for the rows of `data` listed in `rows`. The codes
     /// depend only on the set of rows: a duplicate costs one more sort
-    /// entry and changes nothing.
+    /// entry and changes nothing. Each feature is its own work unit.
     pub(crate) fn build(data: &Dataset, rows: &[usize]) -> SplitPrecompute {
-        let c = data.class_count();
+        let _span = obs::span!("split_precompute");
+        let c = data.class_count() as u32;
         let labels = data.labels();
-        let mut uniques = Vec::with_capacity(data.feature_count());
-        let mut codes = Vec::with_capacity(data.feature_count());
-        let mut coded_labels = Vec::with_capacity(data.feature_count());
-        let mut max_distinct = 0;
-        let mut sorted: Vec<u32> = Vec::with_capacity(rows.len());
-        for f in 0..data.feature_count() {
-            let column = data.column(f);
-            sorted.clear();
-            sorted.extend(rows.iter().map(|&r| r as u32));
-            sorted.sort_unstable_by(|&a, &b| {
-                column[a as usize]
-                    .partial_cmp(&column[b as usize])
-                    .expect("finite features")
-            });
-            let mut uniq: Vec<f64> = Vec::new();
-            let mut code_col = vec![0u32; data.len()];
-            let mut cl_col = vec![0u32; data.len()];
-            for &r in &sorted {
-                let v = column[r as usize];
-                if uniq.last() != Some(&v) {
-                    uniq.push(v);
+        let columns = run_units_scratch(
+            data.feature_count(),
+            || Vec::with_capacity(rows.len()),
+            |sorted: &mut Vec<u32>, f| {
+                let column = data.column(f);
+                sorted.clear();
+                sorted.extend(rows.iter().map(|&r| r as u32));
+                sorted.sort_unstable_by(|&a, &b| {
+                    column[a as usize]
+                        .partial_cmp(&column[b as usize])
+                        .expect("finite features")
+                });
+                let mut uniq: Vec<f64> = Vec::new();
+                let mut code_col = vec![0u32; data.len()];
+                let mut cl_col = vec![0u32; data.len()];
+                for &r in sorted.iter() {
+                    let v = column[r as usize];
+                    if uniq.last() != Some(&v) {
+                        uniq.push(v);
+                    }
+                    let code = (uniq.len() - 1) as u32;
+                    code_col[r as usize] = code;
+                    cl_col[r as usize] = code * c + labels[r as usize] as u32;
                 }
-                let code = (uniq.len() - 1) as u32;
-                code_col[r as usize] = code;
-                cl_col[r as usize] = code * c as u32 + labels[r as usize] as u32;
-            }
-            max_distinct = max_distinct.max(uniq.len());
-            uniques.push(uniq);
-            codes.push(code_col);
-            coded_labels.push(cl_col);
+                (uniq, code_col, cl_col)
+            },
+        );
+        let mut pre = SplitPrecompute {
+            uniques: Vec::with_capacity(columns.len()),
+            codes: Vec::with_capacity(columns.len()),
+            coded_labels: Vec::with_capacity(columns.len()),
+            max_distinct: 0,
+        };
+        for (uniq, code_col, cl_col) in columns {
+            pre.max_distinct = pre.max_distinct.max(uniq.len());
+            pre.uniques.push(uniq);
+            pre.codes.push(code_col);
+            pre.coded_labels.push(cl_col);
         }
-        SplitPrecompute {
-            uniques,
-            codes,
-            coded_labels,
-            max_distinct,
-        }
+        pre
     }
 
     fn feature_count(&self) -> usize {
@@ -853,6 +858,51 @@ impl DecisionTree {
     /// higher class index).
     pub fn predict(&self, features: &[f64]) -> usize {
         argmax(self.predict_proba(features))
+    }
+
+    /// Sets `votes[p]` to the predicted class + 1 of row `rows[p]` for
+    /// each listed position `p` — a forest tree's out-of-bag votes.
+    /// Each row takes [`DecisionTree::predict_row`]'s path to the same
+    /// leaf, but blocks of positions walk the tree one level at a time,
+    /// so the column reads of different rows are independent and
+    /// overlap instead of forming one chain per row.
+    pub(crate) fn vote_rows(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+        positions: &[usize],
+        votes: &mut [u32],
+    ) {
+        const BLOCK: usize = 16;
+        for block in positions.chunks(BLOCK) {
+            let mut cursors = [0usize; BLOCK];
+            let mut walking = true;
+            while walking {
+                walking = false;
+                for (cursor, &p) in cursors.iter_mut().zip(block) {
+                    if let Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } = &self.nodes[*cursor]
+                    {
+                        *cursor = if data.value(rows[p], *feature) <= *threshold {
+                            *left
+                        } else {
+                            *right
+                        };
+                        walking = true;
+                    }
+                }
+            }
+            for (&cursor, &p) in cursors.iter().zip(block) {
+                let Node::Leaf { probabilities } = &self.nodes[cursor] else {
+                    unreachable!("every walk ends on a leaf");
+                };
+                votes[p] = argmax(probabilities) as u32 + 1;
+            }
+        }
     }
 
     /// Predicted class for row `i` of a columnar dataset.

@@ -11,6 +11,7 @@
 
 use rand::Rng;
 use simtime::{Duration, Timestamp};
+use std::sync::OnceLock;
 
 /// Periodic DTU-utilization samples for one database, as offsets from
 /// creation. Values are percentages in `[0, 100]`.
@@ -69,6 +70,17 @@ pub struct UtilizationProfile {
     pub noise: f64,
 }
 
+/// The cosine day-shape peaking at 14:00 local, in `[0, 1]`, for an
+/// hour of the day. The 24 values are computed once per process.
+fn day_shape(hour: u8) -> f64 {
+    static SHAPE: OnceLock<[f64; 24]> = OnceLock::new();
+    SHAPE.get_or_init(|| {
+        std::array::from_fn(|hour| {
+            0.5 + 0.5 * ((hour as f64 - 14.0) / 24.0 * std::f64::consts::TAU).cos()
+        })
+    })[hour as usize]
+}
+
 impl UtilizationProfile {
     /// Generates a trace starting at `created_at`, sampled every
     /// `step`, covering `horizon`.
@@ -89,10 +101,7 @@ impl UtilizationProfile {
         let mut offset = Duration::seconds(0);
         loop {
             let at = created_at + offset;
-            let hour = at.hour() as f64;
-            // Cosine day-shape peaking at 14:00 local.
-            let day_shape = 0.5 + 0.5 * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos();
-            let diurnal = 1.0 - self.diurnality + self.diurnality * day_shape;
+            let diurnal = 1.0 - self.diurnality + self.diurnality * day_shape(at.hour());
             let weekend = if at.date().weekday().is_weekend() {
                 self.weekend_factor
             } else {

@@ -4,9 +4,14 @@
 use features::{FeatureConfig, FeatureExtractor};
 use forest::tree::TreeParams;
 use forest::{set_thread_limit, train_test_split, GridSearch, RandomForest, RandomForestParams};
+use std::sync::Mutex;
 use survdb::experiment::{Experiment, ExperimentConfig, GridPreset};
 use survdb::study::{Study, StudyConfig};
 use telemetry::{Census, Fleet, FleetConfig, RegionConfig, RegionId};
+
+/// The thread limit is process-wide: tests that compare thread counts
+/// hold this lock so they do not change each other's limit mid-run.
+static THREAD_LIMIT_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn fleets_are_bit_identical_across_generations() {
@@ -79,6 +84,7 @@ fn results_are_thread_count_invariant() {
     // Every work unit (tree, fold, candidate × fold, repetition) is
     // seeded from its index, so 1, 2, and 8 worker threads must give
     // bitwise-identical forests, grid searches, and experiments.
+    let _limit = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let fleet = Fleet::generate(FleetConfig::new(RegionConfig::region_1().scaled(0.05), 9));
     let census = Census::new(&fleet);
     let extractor = FeatureExtractor::new(&census, FeatureConfig::default());
@@ -144,6 +150,69 @@ fn results_are_thread_count_invariant() {
             other.3.whole_grouping.logrank_p
         );
     }
+}
+
+#[test]
+fn parallel_loading_extraction_and_grid_units_are_thread_count_invariant() {
+    // Study::load runs one unit per region fleet, build_dataset_indexed
+    // one per chunk of at least 256 databases of the prediction
+    // population, and the grid search one per (candidate × fold ×
+    // tree). One worker and four must give identical outputs.
+    let _limit = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let candidates = vec![
+        RandomForestParams {
+            n_trees: 5,
+            tree: TreeParams {
+                max_depth: 6,
+                ..TreeParams::default()
+            },
+            ..RandomForestParams::default()
+        },
+        RandomForestParams {
+            n_trees: 7,
+            tree: TreeParams {
+                min_samples_leaf: 5,
+                ..TreeParams::default()
+            },
+            ..RandomForestParams::default()
+        },
+    ];
+    let run_all = || {
+        let study = Study::load(StudyConfig {
+            scale: 0.1,
+            seed: 31,
+        });
+        let census = study.census(RegionId::Region1);
+        let population = census.prediction_population_with_boundary(2.0, 30.0).len();
+        assert!(population >= 3 * 256, "{population} rows give one chunk");
+        let extractor = FeatureExtractor::new(&census, FeatureConfig::default());
+        let (dataset, survival, indices) = extractor.build_dataset_indexed(&census, None);
+        let rows: Vec<usize> = (0..dataset.len()).filter(|i| i % 4 != 1).collect();
+        let (grid, model) =
+            GridSearch::new(candidates.clone(), 3).fit_best_on(&dataset, &rows, 8, 9);
+        let flats: Vec<_> = model.trees().iter().map(|t| t.to_flat()).collect();
+        let databases: Vec<_> = study.fleets().iter().map(|f| f.databases.clone()).collect();
+        (
+            databases,
+            (dataset, survival, indices),
+            (grid.all_scores, grid.best_params, grid.best_score),
+            (flats, model.oob_accuracy()),
+        )
+    };
+
+    set_thread_limit(Some(1));
+    let single = run_all();
+    set_thread_limit(Some(4));
+    let wide = run_all();
+    set_thread_limit(None);
+
+    assert_eq!(single.0, wide.0, "fleets diverged");
+    assert_eq!(
+        single.1, wide.1,
+        "dataset, survival pairs or indices diverged"
+    );
+    assert_eq!(single.2, wide.2, "grid scores or winner diverged");
+    assert_eq!(single.3, wide.3, "fitted trees diverged");
 }
 
 #[test]
