@@ -14,8 +14,9 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let paths: Vec<String> = std::env::args().skip(1).collect();
-    match bench::artifact::check_artifacts(&paths) {
+    let args = bench::cli::parse_or_exit(&bench::cli::ARTIFACT_CHECK);
+    let paths = args.leading();
+    match bench::artifact::check_artifacts(paths) {
         Ok(schema) => {
             println!(
                 "[artifact-check] {} file(s) valid {schema}, deterministic sections byte-identical",

@@ -1,102 +1,37 @@
 //! `faultsweep` — the end-to-end degradation sweep.
 //!
 //! ```text
-//! cargo run -p bench --release --bin faultsweep -- \
-//!     [--scale F] [--seed N] [--rates R1,R2,...] [--out PATH]
+//! cargo run -p bench --release --bin faultsweep -- [flags]
 //! ```
 //!
-//! Injects every fault class at a ladder of rates into a region-1
-//! fleet's telemetry, recovers records through the lenient ingest
-//! path, re-runs the §5 classification protocol on each recovered
-//! population, and writes accuracy / precision / recall deltas against
-//! the clean baseline to `artifacts/robustness.json`. The output is
-//! byte-deterministic in `(scale, seed, rates)`.
+//! Flags: [`bench::cli::FAULTSWEEP`]. Injects every fault class at a
+//! ladder of rates into a region-1 fleet's telemetry, recovers records
+//! through the lenient ingest path, re-runs the §5 classification
+//! protocol on each recovered population, and writes accuracy /
+//! precision / recall deltas against the clean baseline to
+//! `artifacts/robustness.json`. The output is byte-deterministic in
+//! `(scale, seed, rates)`.
 
+use bench::cli;
 use std::fs;
 use std::path::Path;
 use survdb::degradation::{run_degradation_sweep, DegradationConfig};
 
-struct Options {
-    scale: f64,
-    seed: u64,
-    rates: Vec<f64>,
-    out: String,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let defaults = DegradationConfig::default();
-    let mut options = Options {
-        scale: defaults.scale,
-        seed: defaults.seed,
-        rates: defaults.fault_rates,
-        out: "artifacts/robustness.json".to_string(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if !matches!(flag, "--scale" | "--seed" | "--rates" | "--out") {
-            return Err(format!("unknown flag {flag}"));
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag {
-            "--scale" => {
-                options.scale = value.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                if !(options.scale > 0.0 && options.scale.is_finite()) {
-                    return Err(format!("--scale must be positive, got {}", options.scale));
-                }
-            }
-            "--seed" => options.seed = value.parse().map_err(|e| format!("bad --seed: {e}"))?,
-            "--rates" => {
-                options.rates = value
-                    .split(',')
-                    .map(|r| {
-                        r.trim()
-                            .parse::<f64>()
-                            .map_err(|e| format!("bad rate {r}: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if options.rates.is_empty() {
-                    return Err("--rates needs at least one rate".to_string());
-                }
-                if let Some(bad) = options.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-                    return Err(format!("rate {bad} out of range [0, 1]"));
-                }
-            }
-            "--out" => options.out = value.clone(),
-            _ => unreachable!("flag list checked above"),
-        }
-        i += 2;
-    }
-    Ok(options)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            obs::error!("faultsweep", "{e}");
-            obs::error!(
-                "faultsweep",
-                "usage: faultsweep [--scale F] [--seed N] [--rates R1,R2,...] [--out PATH]"
-            );
-            std::process::exit(2);
-        }
+    let args = cli::parse_or_exit(&cli::FAULTSWEEP);
+    let d = DegradationConfig::default();
+    let config = DegradationConfig {
+        scale: args.float("--scale").unwrap_or(d.scale),
+        seed: args.u64("--seed").unwrap_or(d.seed),
+        fault_rates: args.floats("--rates").unwrap_or(d.fault_rates),
+        ..d
     };
+    let out = args.text("--out").unwrap_or("artifacts/robustness.json");
 
     // Record spans/counters/events for the whole run; Info events keep
     // echoing to stderr as the un-instrumented binary's prints did.
     let registry = obs::Registry::with_stderr_level(obs::Level::Info);
     let _trace = registry.install();
-
-    let config = DegradationConfig {
-        scale: options.scale,
-        seed: options.seed,
-        fault_rates: options.rates,
-        ..DegradationConfig::default()
-    };
     obs::info!(
         "faultsweep",
         "scale {} seed {} — {} classes x {} rates",
@@ -106,13 +41,7 @@ fn main() {
         config.fault_rates.len()
     );
 
-    let report = match run_degradation_sweep(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            obs::error!("faultsweep", "{e}");
-            std::process::exit(1);
-        }
-    };
+    let report = run_degradation_sweep(&config).unwrap_or_else(|e| cli::fail("faultsweep", e));
 
     for cell in &report.cells {
         let delta = cell
@@ -133,24 +62,16 @@ fn main() {
         );
     }
 
-    let json = report.to_json();
-    if let Some(dir) = Path::new(&options.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    fs::write(&options.out, &json).expect("write robustness report");
-    obs::info!(
-        "faultsweep",
-        "baseline acc {:.3} — wrote {}",
-        report.baseline.accuracy,
-        options.out
-    );
-
-    let artifact_dir = Path::new(&options.out)
+    let artifact_dir = Path::new(out)
         .parent()
         .filter(|d| !d.as_os_str().is_empty())
-        .unwrap_or_else(|| Path::new("."))
-        .to_path_buf();
-    bench::finish_trace(&registry, "faultsweep", &artifact_dir);
+        .unwrap_or_else(|| Path::new("."));
+    fs::create_dir_all(artifact_dir).expect("create output directory");
+    fs::write(out, report.to_json()).expect("write robustness report");
+    obs::info!(
+        "faultsweep",
+        "baseline acc {:.3} — wrote {out}",
+        report.baseline.accuracy
+    );
+    bench::finish_trace(&registry, "faultsweep", artifact_dir);
 }

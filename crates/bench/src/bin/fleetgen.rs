@@ -1,14 +1,13 @@
 //! `fleetgen` — generate and export a synthetic fleet dataset.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fleetgen -- \
-//!     [--region 1|2|3] [--scale F] [--seed N] [--shards N] \
-//!     [--jsonl PATH] [--csv PATH] [--events PATH]
+//! cargo run -p bench --release --bin fleetgen -- [flags]
 //! ```
 //!
-//! Writes the database records as JSON Lines (lossless; can be read
-//! back with `telemetry::read_records_jsonl`), a flat CSV summary for
-//! dataframes, and/or the raw telemetry event stream as text.
+//! Flags: [`bench::cli::FLEETGEN`]. Writes the database records as JSON
+//! Lines (lossless; can be read back with
+//! `telemetry::read_records_jsonl`), a flat CSV summary for dataframes,
+//! and/or the raw telemetry event stream as text.
 //!
 //! Export is streamed: the region is generated shard by shard (whole
 //! subscriptions, `--shards` of them) and each shard's records are
@@ -18,6 +17,7 @@
 //! (jsonl/csv) is byte-identical to a whole-fleet export at any shard
 //! count; the events export is time-ordered within each shard.
 
+use bench::cli;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use telemetry::{
@@ -25,107 +25,52 @@ use telemetry::{
     FleetConfig, RegionConfig, RegionId, ShardPlan,
 };
 
-struct Options {
-    region: RegionId,
-    scale: f64,
-    seed: u64,
-    shards: usize,
-    jsonl: Option<String>,
-    csv: Option<String>,
-    events: Option<String>,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        region: RegionId::Region1,
-        scale: 0.1,
-        seed: 42,
-        shards: 8,
-        jsonl: None,
-        csv: None,
-        events: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag {
-            "--region" => {
-                options.region = match value.as_str() {
-                    "1" => RegionId::Region1,
-                    "2" => RegionId::Region2,
-                    "3" => RegionId::Region3,
-                    other => return Err(format!("unknown region {other}")),
-                }
-            }
-            "--scale" => options.scale = value.parse().map_err(|e| format!("bad --scale: {e}"))?,
-            "--seed" => options.seed = value.parse().map_err(|e| format!("bad --seed: {e}"))?,
-            "--shards" => {
-                options.shards = value.parse().map_err(|e| format!("bad --shards: {e}"))?
-            }
-            "--jsonl" => options.jsonl = Some(value.clone()),
-            "--csv" => options.csv = Some(value.clone()),
-            "--events" => options.events = Some(value.clone()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 2;
-    }
-    if options.jsonl.is_none() && options.csv.is_none() && options.events.is_none() {
-        return Err("nothing to do: pass --jsonl, --csv, and/or --events".into());
-    }
-    Ok(options)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            obs::error!("fleetgen", "{e}");
-            obs::error!(
-                "fleetgen",
-                "usage: fleetgen [--region 1|2|3] [--scale F] [--seed N] [--shards N] \
-                 [--jsonl PATH] [--csv PATH] [--events PATH]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit(&cli::FLEETGEN);
+    let region = args
+        .pick("--region", RegionId::ALL)
+        .unwrap_or(RegionId::Region1);
+    let (jsonl, csv, events) = (
+        args.text("--jsonl"),
+        args.text("--csv"),
+        args.text("--events"),
+    );
+    if jsonl.is_none() && csv.is_none() && events.is_none() {
+        cli::usage_error(
+            &cli::FLEETGEN,
+            "nothing to do: pass --jsonl, --csv, and/or --events",
+        );
+    }
 
-    let builder = FleetConfig::builder(RegionConfig::canonical(options.region))
-        .scale(options.scale)
-        .seed(options.seed)
-        .shards(options.shards.max(1));
+    let builder = FleetConfig::builder(RegionConfig::canonical(region))
+        .scale(args.float("--scale").unwrap_or(0.1))
+        .seed(args.u64("--seed").unwrap_or(42))
+        .shards(args.count("--shards").unwrap_or(8));
     let config = builder.config();
     let plan: ShardPlan = builder.shard_plan();
     let window_end = simtime::Timestamp::from_date(config.region.window_end());
 
-    let mut jsonl = options
-        .jsonl
-        .as_ref()
-        .map(|path| BufWriter::new(File::create(path).expect("create jsonl file")));
-    let mut csv = options.csv.as_ref().map(|path| {
+    let mut jsonl_out =
+        jsonl.map(|path| BufWriter::new(File::create(path).expect("create jsonl file")));
+    let mut csv_out = csv.map(|path| {
         let mut file = BufWriter::new(File::create(path).expect("create csv file"));
         write_summary_csv_header(&mut file).expect("write csv header");
         file
     });
-    let mut events_out = options
-        .events
-        .as_ref()
-        .map(|path| BufWriter::new(File::create(path).expect("create events file")));
+    let mut events_out =
+        events.map(|path| BufWriter::new(File::create(path).expect("create events file")));
 
     let mut subscriptions = 0usize;
     let mut databases = 0usize;
-    let mut events = 0usize;
+    let mut event_count = 0usize;
     for shard in 0..plan.shard_count() {
         let fleet = telemetry::Fleet::generate_range(config.clone(), plan.range(shard));
         subscriptions += fleet.subscriptions.len();
         databases += fleet.databases.len();
-        if let Some(out) = &mut jsonl {
+        if let Some(out) = &mut jsonl_out {
             write_records_jsonl(&fleet.databases, out).expect("write jsonl");
         }
-        if let Some(out) = &mut csv {
+        if let Some(out) = &mut csv_out {
             write_summary_csv_rows(&fleet.databases, window_end, out).expect("write csv");
         }
         if let Some(out) = &mut events_out {
@@ -133,7 +78,7 @@ fn main() {
             for (at, event) in stream.events() {
                 writeln!(out, "{at}\t{event:?}").expect("write event");
             }
-            events += stream.len();
+            event_count += stream.len();
         }
         // The shard fleet drops here; memory stays bounded by one shard.
     }
@@ -141,22 +86,15 @@ fn main() {
     obs::info!(
         "fleetgen",
         "generated {}: {} subscriptions, {} databases ({} shards)",
-        options.region,
+        region,
         subscriptions,
         databases,
         plan.shard_count()
     );
-    for (path, label) in [
-        (&options.jsonl, "jsonl"),
-        (&options.csv, "csv"),
-        (&options.events, "events"),
-    ] {
-        if let Some(path) = path {
-            if label == "events" {
-                obs::info!("fleetgen", "wrote {path} ({events} events)");
-            } else {
-                obs::info!("fleetgen", "wrote {path}");
-            }
-        }
+    for path in [jsonl, csv].into_iter().flatten() {
+        obs::info!("fleetgen", "wrote {path}");
+    }
+    if let Some(path) = events {
+        obs::info!("fleetgen", "wrote {path} ({event_count} events)");
     }
 }

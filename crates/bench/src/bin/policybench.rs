@@ -3,18 +3,12 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin policybench -- [flags]
-//!
-//! flags: --scale F     population scale for every cohort (default 0.25)
-//!        --seed N      master seed (default 2018)
-//!        --shards N    subscription shards per region (default 4;
-//!                      must not change the deterministic section)
-//!        --grid N      threshold-grid resolution (default 11)
-//!        --model PATH  load an existing model instead of training one
-//!        --out DIR     artifact directory (default artifacts/)
 //! ```
 //!
-//! For every what-if cohort (baseline, incentive-cliff mass churn,
-//! seasonal SLO scaling, regional migration wave) the binary generates
+//! Flags: [`bench::cli::POLICYBENCH`]; `--shards` must not change the
+//! deterministic section. For every what-if cohort (baseline,
+//! incentive-cliff mass churn, seasonal SLO scaling, regional
+//! migration wave) the binary generates
 //! the scenario fleet shard by shard, scores each (region, edition)
 //! subgroup with the persisted forest, decides every row under the
 //! canonical [`bench::policyart::canonical_spec`], and accumulates the
@@ -24,25 +18,23 @@
 //! headline requirement that the best sweep threshold beat both naive
 //! baselines on the incentive-cliff cohort — exits nonzero.
 
+use bench::cli;
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
 use bench::policyart::{
-    cohort_table, parse_policy_options, run_policybench, validate_policy, write_policy,
+    cohort_table, run_policybench, validate_policy, write_policy, PolicyBenchOptions,
 };
 use std::sync::Arc;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_policy_options(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            obs::error!("policybench", "{e}");
-            obs::error!(
-                "policybench",
-                "usage: policybench [--scale F] [--seed N] [--shards N] [--grid N] \
-                 [--model PATH] [--out DIR]"
-            );
-            std::process::exit(2);
-        }
+    let args = cli::parse_or_exit(&cli::POLICYBENCH);
+    let d = PolicyBenchOptions::default();
+    let options = PolicyBenchOptions {
+        scale: args.float("--scale").unwrap_or(d.scale),
+        seed: args.u64("--seed").unwrap_or(d.seed),
+        shards: args.count("--shards").unwrap_or(d.shards),
+        grid_points: args.count("--grid").unwrap_or(d.grid_points),
+        model: args.path("--model"),
+        artifact_dir: args.path("--out").unwrap_or(d.artifact_dir),
     };
 
     let registry = Arc::new(obs::Registry::with_stderr_level(obs::Level::Info));
@@ -59,13 +51,7 @@ fn main() {
         tune: false,
         save_dir: options.artifact_dir.clone(),
     };
-    let model = match obtain_model(&data, &spec) {
-        Ok(m) => m,
-        Err(e) => {
-            obs::error!("policybench", "{e}");
-            std::process::exit(1);
-        }
-    };
+    let model = obtain_model(&data, &spec).unwrap_or_else(|e| cli::fail("policybench", e));
 
     println!(
         "[policybench] deciding 4 cohorts x 3 regions ({} shards, {}-point grid)",
@@ -80,15 +66,11 @@ fn main() {
         Ok(path) => {
             let text = std::fs::read_to_string(&path).expect("just-written artifact is readable");
             if let Err(e) = validate_policy(&text) {
-                obs::error!("policybench", "self-validation failed: {e}");
-                std::process::exit(1);
+                cli::fail("policybench", format!("self-validation failed: {e}"));
             }
             println!("\n[policybench] wrote {} (validated)", path.display());
         }
-        Err(e) => {
-            obs::error!("policybench", "cannot write policy artifact: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => cli::fail("policybench", format!("cannot write policy artifact: {e}")),
     }
 
     bench::finish_trace(&registry, "policybench", &options.artifact_dir);

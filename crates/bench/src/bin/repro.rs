@@ -2,20 +2,13 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin repro -- <id> [flags]
-//!
-//! ids:   fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig9 tab1 tab2
-//!        obs factors prov sweep calib models ablate segments all
-//! flags: --scale F   population scale (default 0.5)
-//!        --seed N    master seed
-//!        --grid off|light|full
-//!        --reps N    repetitions per subgroup (default 5)
-//!        --out DIR   artifact directory (default artifacts/)
 //! ```
 //!
-//! Each command prints the paper-style series/rows and writes
+//! The ids and flags are [`bench::cli::REPRO`]; `all` runs every id in
+//! order. Each command prints the paper-style series/rows and writes
 //! `artifacts/<id>.json`.
 
-use bench::{parse_options, Harness};
+use bench::{cli, Harness, HarnessOptions};
 use obs::jsonv::JsonV;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -29,18 +22,51 @@ use survdb::report::{ascii_km_chart, ascii_km_series, p_value_cell, score_row, s
 use survival::{KaplanMeier, SurvivalData};
 use telemetry::{Census, Edition, RegionId};
 
+/// One experiment: prints its rows and writes its artifact.
+type Run = fn(&mut Harness);
+
+/// Every experiment id but `all`, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Run); 18] = [
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("tab1", tab1),
+    ("tab2", tab2),
+    ("obs", obs),
+    ("factors", factors),
+    ("prov", prov),
+    ("sweep", sweep),
+    ("calib", calib),
+    ("models", models),
+    ("ablate", ablate),
+    ("segments", segments),
+];
+
+/// The `--grid` presets, in the table's `off|light|full` order.
+const GRIDS: [GridPreset; 3] = [GridPreset::Off, GridPreset::Light, GridPreset::Full];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        obs::error!("repro", "usage: repro <fig1|fig2|fig3|fig5|fig6|fig7|fig8|fig9|tab1|tab2|obs|factors|prov|sweep|calib|models|ablate|segments|all> [flags]");
-        std::process::exit(2);
-    };
-    let options = match parse_options(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            obs::error!("repro", "{e}");
-            std::process::exit(2);
-        }
+    let args = cli::parse_or_exit(&cli::REPRO);
+    let command = args.leading()[0].as_str();
+    let runs = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| command == "all" || command == *id);
+    assert!(
+        runs.clone().next().is_some(),
+        "{command} is in cli::REPRO, not EXPERIMENTS"
+    );
+    let d = HarnessOptions::default();
+    let options = HarnessOptions {
+        scale: args.float("--scale").unwrap_or(d.scale),
+        seed: args.u64("--seed").unwrap_or(d.seed),
+        grid: args.pick("--grid", GRIDS).unwrap_or(d.grid),
+        repetitions: args.count("--reps").unwrap_or(d.repetitions),
+        artifact_dir: args.path("--out").unwrap_or(d.artifact_dir),
     };
 
     // Record spans/counters/events for the whole run; Info events keep
@@ -50,49 +76,8 @@ fn main() {
     let artifact_dir = options.artifact_dir.clone();
 
     let mut harness = Harness::new(options);
-    match command.as_str() {
-        "fig1" => fig1(&mut harness),
-        "fig2" => fig2(&mut harness),
-        "fig3" => fig3(&mut harness),
-        "fig5" => fig5(&mut harness),
-        "fig6" => fig6(&mut harness),
-        "fig7" => fig7(&mut harness),
-        "fig8" => fig8(&mut harness),
-        "fig9" => fig9(&mut harness),
-        "tab1" => tab1(&mut harness),
-        "tab2" => tab2(&mut harness),
-        "obs" => obs(&mut harness),
-        "factors" => factors(&mut harness),
-        "prov" => prov(&mut harness),
-        "sweep" => sweep(&mut harness),
-        "calib" => calib(&mut harness),
-        "models" => models(&mut harness),
-        "ablate" => ablate(&mut harness),
-        "segments" => segments(&mut harness),
-        "all" => {
-            fig1(&mut harness);
-            fig2(&mut harness);
-            fig3(&mut harness);
-            fig5(&mut harness);
-            fig6(&mut harness);
-            fig7(&mut harness);
-            fig8(&mut harness);
-            fig9(&mut harness);
-            tab1(&mut harness);
-            tab2(&mut harness);
-            obs(&mut harness);
-            factors(&mut harness);
-            prov(&mut harness);
-            sweep(&mut harness);
-            calib(&mut harness);
-            models(&mut harness);
-            ablate(&mut harness);
-            segments(&mut harness);
-        }
-        other => {
-            obs::error!("repro", "unknown experiment id {other}");
-            std::process::exit(2);
-        }
+    for (_, run) in runs {
+        run(&mut harness);
     }
 
     bench::finish_trace(&registry, "repro", &artifact_dir);

@@ -3,17 +3,13 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin servecheck -- [flags]
-//!
-//! flags: --scale F     population scale for the fixture fleet (default 0.1)
-//!        --seed N      master seed (default 2018)
-//!        --workers N   daemon worker threads (default 4)
-//!        --out DIR     artifact directory (default artifacts/)
 //! ```
 //!
-//! It builds the fixture fleet's dataset, trains (and saves) the model,
-//! cuts the request corpus from the feature rows and computes the
-//! offline `serve::score_rows` expectation once, then runs both phases
-//! of `survd::verify` over them:
+//! Flags: [`bench::cli::SERVECHECK`]. It builds the fixture fleet's
+//! dataset, trains (and saves) the model, cuts the request corpus from
+//! the feature rows and computes the offline `serve::score_rows`
+//! expectation once, then runs both phases of `survd::verify` over
+//! them:
 //!
 //! - **Load.** A daemon on `ServerConfig::default()`'s queue and batch
 //!   policy, its drift monitor seeded from the corpus's own offline
@@ -31,6 +27,7 @@
 //! Both artifacts must pass their own schema check, and the run writes
 //! one `run_trace.json`. Any violation exits 1; a usage error exits 2.
 
+use bench::cli;
 use bench::model_source::{fixture_dataset, obtain_model, ModelSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -53,73 +50,29 @@ const REQUESTS_PER_CELL: usize = 16;
 /// The sweep daemon's admission-queue capacity.
 const SWEEP_QUEUE: usize = 64;
 
-struct Options {
-    scale: f64,
-    seed: u64,
-    workers: usize,
-    out: PathBuf,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        scale: 0.1,
-        seed: 2018,
-        workers: 4,
-        out: PathBuf::from("artifacts"),
-    };
-    for pair in args.chunks(2) {
-        let flag = pair[0].as_str();
-        let value = || {
-            pair.get(1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        let bad = |e: &dyn std::fmt::Display| format!("bad {flag}: {e}");
-        match flag {
-            "--scale" => options.scale = value()?.parse().map_err(|e| bad(&e))?,
-            "--seed" => options.seed = value()?.parse().map_err(|e| bad(&e))?,
-            "--workers" => options.workers = value()?.parse().map_err(|e| bad(&e))?,
-            "--out" => options.out = PathBuf::from(value()?),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if options.workers == 0 {
-        return Err("--workers must be nonzero".to_string());
-    }
-    Ok(options)
-}
-
-/// Logs `message` and exits 1: the run cannot go on.
-fn die<T>(message: String) -> T {
-    obs::error!("servecheck", "{message}");
-    std::process::exit(1);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = parse(&args).unwrap_or_else(|e| {
-        obs::error!("servecheck", "{e}");
-        obs::error!(
-            "servecheck",
-            "usage: servecheck [--scale F] [--seed N] [--workers N] [--out DIR]"
-        );
-        std::process::exit(2);
-    });
+    let args = cli::parse_or_exit(&cli::SERVECHECK);
+    let (scale, seed) = (
+        args.float("--scale").unwrap_or(0.1),
+        args.u64("--seed").unwrap_or(2018),
+    );
+    let workers = args.count("--workers").unwrap_or(4);
+    let out = args
+        .path("--out")
+        .unwrap_or_else(|| PathBuf::from("artifacts"));
 
     let registry = Arc::new(obs::Registry::with_stderr_level(obs::Level::Info));
     let _guard = registry.install();
 
-    println!(
-        "[servecheck] building corpus fleet (scale {}, seed {})",
-        options.scale, options.seed
-    );
-    let data = fixture_dataset(options.scale, options.seed);
+    println!("[servecheck] building corpus fleet (scale {scale}, seed {seed})");
+    let data = fixture_dataset(scale, seed);
     let spec = ModelSpec {
         load_from: None,
-        seed: options.seed,
+        seed,
         tune: false,
-        save_dir: options.out.clone(),
+        save_dir: out.clone(),
     };
-    let model = obtain_model(&data, &spec).unwrap_or_else(die);
+    let model = obtain_model(&data, &spec).unwrap_or_else(|e| cli::fail("servecheck", e));
     // The deterministic corpus: every feature row of the fixture fleet,
     // in dataset order. Offline ground truth, computed once: the daemon
     // must reproduce it bitwise however requests coalesce.
@@ -138,12 +91,12 @@ fn main() {
     // covers the 200 × 4 rows the load run samples from the corpus, so
     // its divergence is small but not zero.
     let config = ServerConfig {
-        workers: options.workers,
+        workers,
         drift_reference: Some(offline.summary().histogram),
         ..ServerConfig::default()
     };
     let handle = survd::start(model.clone(), config.clone(), Some(Arc::clone(&registry)))
-        .unwrap_or_else(|e| die(format!("cannot start daemon: {e}")));
+        .unwrap_or_else(|e| cli::fail("servecheck", format!("cannot start daemon: {e}")));
     println!(
         "[servecheck] load: {} requests x {} rows over {} connections on {} ({} workers, queue {}, batch {} rows / {} ms)",
         LOAD.requests,
@@ -168,7 +121,7 @@ fn main() {
         config: LOAD,
         corpus: ServingCorpus {
             rows: corpus.len(),
-            seed: options.seed,
+            seed,
         },
         model: &model,
         counts: load.counts,
@@ -182,12 +135,7 @@ fn main() {
     );
     let serving = survd::render_serving("servecheck", &config, &run);
     let mut violations = load.violations + self_check(&serving, survd::validate_serving);
-    written(survd::write_serving(
-        &options.out,
-        "servecheck",
-        &config,
-        &run,
-    ));
+    written(survd::write_serving(&out, "servecheck", &config, &run));
 
     // Sweep phase.
     let http = survd::http::HttpLimits {
@@ -195,7 +143,7 @@ fn main() {
         ..survd::http::HttpLimits::default()
     };
     let config = ServerConfig {
-        workers: options.workers,
+        workers,
         queue_capacity: SWEEP_QUEUE,
         batch: BatchPolicy {
             max_rows: 64,
@@ -206,11 +154,11 @@ fn main() {
         ..ServerConfig::default()
     };
     let handle = survd::start(model.clone(), config, Some(Arc::clone(&registry)))
-        .unwrap_or_else(|e| die(format!("cannot start daemon: {e}")));
+        .unwrap_or_else(|e| cli::fail("servecheck", format!("cannot start daemon: {e}")));
     println!(
         "\n[servecheck] sweep: {REQUESTS_PER_CELL} exchanges per cell on {} ({} workers, queue {SWEEP_QUEUE})",
         handle.addr(),
-        options.workers
+        workers
     );
     let mut grid: Vec<(Option<ChaosClass>, f64)> = vec![(None, 0.0)];
     for class in ChaosClass::ALL {
@@ -224,7 +172,7 @@ fn main() {
         &expected,
         &grid,
         REQUESTS_PER_CELL,
-        options.seed,
+        seed,
     );
     let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
     let stats = handle.shutdown();
@@ -240,8 +188,8 @@ fn main() {
     );
     let run_config = ResilienceConfig {
         requests_per_cell: REQUESTS_PER_CELL,
-        seed: options.seed,
-        workers: options.workers,
+        seed,
+        workers,
         queue_capacity: SWEEP_QUEUE,
     };
     let resilience = survd::render_resilience(
@@ -254,7 +202,7 @@ fn main() {
     );
     violations += sweep_violations + self_check(&resilience, survd::validate_resilience);
     written(survd::write_resilience(
-        &options.out,
+        &out,
         "servecheck",
         &run_config,
         &model,
@@ -263,11 +211,10 @@ fn main() {
         elapsed_ms,
     ));
 
-    bench::finish_trace(&registry, "servecheck", &options.out);
+    bench::finish_trace(&registry, "servecheck", &out);
 
     if violations > 0 {
-        obs::error!("servecheck", "{violations} violations");
-        std::process::exit(1);
+        cli::fail("servecheck", format!("{violations} violations"));
     }
     println!(
         "[servecheck] every response matched its contract; {} load and {} sweep bodies bitwise-verified across {} generations",
@@ -291,6 +238,6 @@ fn self_check(text: &str, validate: fn(&str) -> Result<(), String>) -> u64 {
 fn written(result: std::io::Result<PathBuf>) {
     match result {
         Ok(path) => println!("[servecheck] wrote {}", path.display()),
-        Err(e) => die(format!("cannot write an artifact: {e}")),
+        Err(e) => cli::fail("servecheck", format!("cannot write an artifact: {e}")),
     }
 }

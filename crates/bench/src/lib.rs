@@ -7,6 +7,7 @@
 //! harness computes each subgroup once and caches it.
 
 pub mod artifact;
+pub mod cli;
 pub mod fleet;
 pub mod model_source;
 pub mod policyart;
@@ -18,7 +19,8 @@ use survdb::json::ToJson;
 use survdb::study::{Study, StudyConfig};
 use telemetry::{Edition, RegionId};
 
-/// Harness options parsed from the `repro` command line.
+/// Harness options, filled from the `repro` command line
+/// ([`cli::REPRO`]).
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
     /// Population scale (1.0 = canonical region sizes).
@@ -161,72 +163,36 @@ pub fn finish_trace(
     }
 }
 
-/// Parses `repro` command-line flags (everything after the subcommand).
-pub fn parse_options(args: &[String]) -> Result<HarnessOptions, String> {
-    let mut options = HarnessOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag {
-            "--scale" => {
-                options.scale = value()?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                options.seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?;
-                i += 2;
-            }
-            "--reps" => {
-                options.repetitions = value()?.parse().map_err(|e| format!("bad --reps: {e}"))?;
-                i += 2;
-            }
-            "--grid" => {
-                options.grid = match value()?.as_str() {
-                    "off" => GridPreset::Off,
-                    "light" => GridPreset::Light,
-                    "full" => GridPreset::Full,
-                    other => return Err(format!("unknown grid preset {other}")),
-                };
-                i += 2;
-            }
-            "--out" => {
-                options.artifact_dir = PathBuf::from(value()?);
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn parse_defaults_and_flags() {
-        let opts = parse_options(&[]).unwrap();
-        assert_eq!(opts.repetitions, 5);
-        let args: Vec<String> = [
-            "--scale", "0.1", "--seed", "7", "--grid", "full", "--reps", "2",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let opts = parse_options(&args).unwrap();
-        assert_eq!(opts.scale, 0.1);
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.grid, GridPreset::Full);
-        assert_eq!(opts.repetitions, 2);
+        assert_eq!(HarnessOptions::default().repetitions, 5);
+        let opts = cli::parse(&cli::REPRO, &args(&["all"])).unwrap();
+        assert_eq!(opts.count("--reps"), None);
+        let opts = cli::parse(
+            &cli::REPRO,
+            &args(&[
+                "all", "--scale", "0.1", "--seed", "7", "--grid", "full", "--reps", "2",
+            ]),
+        )
+        .unwrap();
+        assert_eq!(opts.float("--scale"), Some(0.1));
+        assert_eq!(opts.u64("--seed"), Some(7));
+        let grids = [GridPreset::Off, GridPreset::Light, GridPreset::Full];
+        assert_eq!(opts.pick("--grid", grids), Some(GridPreset::Full));
+        assert_eq!(opts.count("--reps"), Some(2));
     }
 
     #[test]
     fn parse_rejects_unknown() {
-        assert!(parse_options(&["--nope".to_string()]).is_err());
-        assert!(parse_options(&["--scale".to_string()]).is_err());
+        assert!(cli::parse(&cli::REPRO, &args(&["all", "--nope"])).is_err());
+        assert!(cli::parse(&cli::REPRO, &args(&["all", "--scale"])).is_err());
     }
 }

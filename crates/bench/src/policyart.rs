@@ -47,7 +47,8 @@ pub const POLICY_SCHEMA: &str = "survdb-policy/v1";
 /// Artifact file name.
 pub const POLICY_FILE: &str = "policy.json";
 
-/// `policybench` command-line options.
+/// `policybench` options, filled from its command line
+/// ([`crate::cli::POLICYBENCH`]).
 #[derive(Debug, Clone)]
 pub struct PolicyBenchOptions {
     /// Population scale (1.0 = canonical region sizes).
@@ -76,48 +77,6 @@ impl Default for PolicyBenchOptions {
             artifact_dir: PathBuf::from("artifacts"),
         }
     }
-}
-
-/// Parses `policybench` command-line flags.
-pub fn parse_policy_options(args: &[String]) -> Result<PolicyBenchOptions, String> {
-    let mut options = PolicyBenchOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag {
-            "--scale" => {
-                options.scale = value()?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--shards" => {
-                options.shards = value()?.parse().map_err(|e| format!("bad --shards: {e}"))?;
-            }
-            "--grid" => {
-                options.grid_points = value()?.parse().map_err(|e| format!("bad --grid: {e}"))?;
-            }
-            "--model" => {
-                options.model = Some(PathBuf::from(value()?));
-            }
-            "--out" => {
-                options.artifact_dir = PathBuf::from(value()?);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 2;
-    }
-    if options.scale <= 0.0 {
-        return Err("--scale must be positive".to_string());
-    }
-    if options.grid_points < 2 {
-        return Err("--grid needs at least 2 points".to_string());
-    }
-    Ok(options)
 }
 
 /// The canonical spec the artifact (and the golden snapshot) pin: the
@@ -819,22 +778,26 @@ mod tests {
 
     #[test]
     fn parse_policy_flags() {
-        let opts = parse_policy_options(&[]).unwrap();
-        assert_eq!(opts.shards, 4);
-        assert_eq!(opts.grid_points, 11);
-        let args: Vec<String> = [
-            "--scale", "0.1", "--seed", "9", "--shards", "2", "--grid", "6",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let opts = parse_policy_options(&args).unwrap();
-        assert_eq!(opts.scale, 0.1);
-        assert_eq!(opts.seed, 9);
-        assert_eq!(opts.shards, 2);
-        assert_eq!(opts.grid_points, 6);
-        assert!(parse_policy_options(&["--nope".to_string()]).is_err());
-        assert!(parse_policy_options(&["--grid".to_string(), "1".to_string()]).is_err());
+        let args = |raw: &[&str]| -> Vec<String> { raw.iter().map(|s| s.to_string()).collect() };
+        let d = PolicyBenchOptions::default();
+        assert_eq!(d.shards, 4);
+        assert_eq!(d.grid_points, 11);
+        let opts = crate::cli::parse(&crate::cli::POLICYBENCH, &[]).unwrap();
+        assert_eq!(opts.count("--shards"), None);
+        assert_eq!(opts.count("--grid"), None);
+        let opts = crate::cli::parse(
+            &crate::cli::POLICYBENCH,
+            &args(&[
+                "--scale", "0.1", "--seed", "9", "--shards", "2", "--grid", "6",
+            ]),
+        )
+        .unwrap();
+        assert_eq!(opts.float("--scale"), Some(0.1));
+        assert_eq!(opts.u64("--seed"), Some(9));
+        assert_eq!(opts.count("--shards"), Some(2));
+        assert_eq!(opts.count("--grid"), Some(6));
+        assert!(crate::cli::parse(&crate::cli::POLICYBENCH, &args(&["--nope"])).is_err());
+        assert!(crate::cli::parse(&crate::cli::POLICYBENCH, &args(&["--grid", "1"])).is_err());
     }
 
     #[test]

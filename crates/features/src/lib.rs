@@ -44,12 +44,10 @@ pub mod name;
 pub mod pipeline;
 pub mod size;
 pub mod slo;
-pub mod stream;
 pub mod subscription;
 pub mod time;
 pub mod utilization;
 
 pub use name::{name_features, NgramVocabulary, NAME_FEATURE_COUNT};
 pub use pipeline::{feature_schema, FeatureConfig, FeatureExtractor};
-pub use stream::StreamingDatasetBuilder;
 pub use subscription::SubscriptionHistoryIndex;

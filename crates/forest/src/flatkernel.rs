@@ -43,7 +43,7 @@
 //! including `NaN`, `±0.0`, and threshold-equal values.
 
 use crate::random_forest::RandomForest;
-use crate::tree::FlatTree;
+use crate::tree::Node as TreeNode;
 
 /// Rows per traversal tile. 64 rows × ~60 features × 8 bytes ≈ 30 KB
 /// of gathered features per tile — sized so the tile plus one tree's
@@ -151,51 +151,54 @@ impl ForestKernel {
     /// not per batch.
     pub fn from_forest(model: &RandomForest) -> ForestKernel {
         let _span = obs::span!("kernel_build");
+        let nodes: usize = model.trees().iter().map(|t| t.node_count()).sum();
+        let leaves: usize = model.trees().iter().map(|t| t.leaf_count()).sum();
         let mut kernel = ForestKernel {
             feature_count: model.feature_names().len(),
             class_count: model.class_count(),
-            nodes: Vec::new(),
-            leaf_off: Vec::new(),
-            leaf_probabilities: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            leaf_off: Vec::with_capacity(nodes),
+            leaf_probabilities: Vec::with_capacity(leaves * model.class_count()),
             roots: Vec::with_capacity(model.tree_count()),
             leaf_start: Vec::with_capacity(model.tree_count()),
         };
+        let mut map = Vec::new();
         for tree in model.trees() {
-            kernel.push_tree(&tree.to_flat());
+            kernel.push_tree(tree.nodes(), &mut map);
         }
         kernel.validate_layout();
         obs::count("forest.kernel_nodes", kernel.nodes.len() as u64);
         kernel
     }
 
-    /// Appends one tree, renumbering its nodes internal-first. The
-    /// flat layout comes from [`crate::DecisionTree::to_flat`], whose
-    /// invariants (children in range and strictly forward, leaf runs
-    /// consistent) already held in the validated source tree.
-    fn push_tree(&mut self, flat: &FlatTree) {
-        let n = flat.kind.len();
+    /// Appends one tree straight from its node arena, renumbering its
+    /// nodes internal-first; `map` is scratch reused across trees. The
+    /// arena's invariants (children in range and strictly forward)
+    /// already held in the validated source tree.
+    fn push_tree(&mut self, tree: &[TreeNode], map: &mut Vec<u32>) {
         let base = self.nodes.len() as u32;
-        let internal_count = flat.kind.iter().filter(|&&k| k == 1).count() as u32;
+        let is_split = |node: &&TreeNode| matches!(node, TreeNode::Split { .. });
+        let internal_count = tree.iter().filter(is_split).count() as u32;
 
-        // Old node index -> new absolute index: internals keep their
+        // Arena index -> new absolute index: internals keep their
         // relative order in [base, base + internal), leaves theirs in
         // [base + internal, base + n).
-        let mut map = vec![0u32; n];
         let mut next_internal = base;
         let mut next_leaf = base + internal_count;
-        for (i, &kind) in flat.kind.iter().enumerate() {
-            if kind == 1 {
-                map[i] = next_internal;
-                next_internal += 1;
+        map.clear();
+        map.extend(tree.iter().map(|node| {
+            let next = if is_split(&node) {
+                &mut next_internal
             } else {
-                map[i] = next_leaf;
-                next_leaf += 1;
-            }
-        }
+                &mut next_leaf
+            };
+            *next += 1;
+            *next - 1
+        }));
 
         self.roots.push(map[0]);
         self.leaf_start.push(base + internal_count);
-        let total = base as usize + n;
+        let total = base as usize + tree.len();
         self.nodes.resize(
             total,
             Node {
@@ -206,34 +209,38 @@ impl ForestKernel {
         );
         self.leaf_off.resize(total, 0);
 
-        let mut prob_run = 0usize; // cursor into flat.leaf_probabilities
-        for (i, &kind) in flat.kind.iter().enumerate() {
-            let slot = map[i] as usize;
-            if kind == 1 {
-                debug_assert!((flat.feature[i] as usize) < self.feature_count);
-                self.nodes[slot] = Node {
-                    threshold: flat.threshold[i],
-                    feature: flat.feature[i],
-                    kids: [map[flat.left[i] as usize], map[flat.right[i] as usize]],
-                };
-            } else {
-                // Leaf self-loop: threshold +inf keeps every finite
-                // value on the left self-edge and NaN on the right
-                // one. Feature 0 is always in range, so the (dead)
-                // load stays in bounds.
-                self.nodes[slot] = Node {
-                    threshold: f64::INFINITY,
-                    feature: 0,
-                    kids: [slot as u32, slot as u32],
-                };
-                self.leaf_off[slot] = self.leaf_probabilities.len() as u32;
-                self.leaf_probabilities.extend_from_slice(
-                    &flat.leaf_probabilities[prob_run..prob_run + self.class_count],
-                );
-                prob_run += self.class_count;
+        for (node, &slot) in tree.iter().zip(map.iter()) {
+            let slot = slot as usize;
+            match node {
+                TreeNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    debug_assert!(*feature < self.feature_count);
+                    self.nodes[slot] = Node {
+                        threshold: *threshold,
+                        feature: *feature as u32,
+                        kids: [map[*left], map[*right]],
+                    };
+                }
+                TreeNode::Leaf { probabilities } => {
+                    // Leaf self-loop: threshold +inf keeps every finite
+                    // value on the left self-edge and NaN on the right
+                    // one. Feature 0 is always in range, so the (dead)
+                    // load stays in bounds.
+                    self.nodes[slot] = Node {
+                        threshold: f64::INFINITY,
+                        feature: 0,
+                        kids: [slot as u32, slot as u32],
+                    };
+                    self.leaf_off[slot] = self.leaf_probabilities.len() as u32;
+                    debug_assert_eq!(probabilities.len(), self.class_count);
+                    self.leaf_probabilities.extend_from_slice(probabilities);
+                }
             }
         }
-        debug_assert_eq!(prob_run, flat.leaf_probabilities.len());
     }
 
     /// Verifies the layout invariants the unchecked hot loop relies on

@@ -34,8 +34,10 @@ impl Default for TreeParams {
     }
 }
 
+/// One node of a tree's arena. Children sit at strictly greater
+/// indices than their parent; the root is node 0.
 #[derive(Debug, Clone, PartialEq)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         /// Class probabilities (leaf class fractions) — the per-tree
         /// confidence estimates the paper's §5.3 partition relies on.
@@ -923,6 +925,11 @@ impl DecisionTree {
     /// Total node count.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The node arena, root first.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Deepest node depth reached during growth.

@@ -21,6 +21,7 @@
 //! reports what came back. [`crate::verify::sweep`], which the
 //! `servecheck` binary and the resilience e2e tests run, is built on it.
 
+use forest::parallel::{derive_seed, splitmix64};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -203,23 +204,14 @@ fn salt(class: ChaosClass) -> u64 {
     }
 }
 
-/// splitmix64 finalizer (same constants as `telemetry::faults`).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A uniform draw in `[0, 1)` keyed by (seed, ordinal, salt).
 fn unit(seed: u64, ordinal: u64, salt: u64) -> f64 {
-    let h = mix(mix(seed ^ salt).wrapping_add(ordinal));
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (derive_seed(seed ^ salt, ordinal) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A uniform pick in `[0, n)` keyed the same way.
 fn pick(seed: u64, ordinal: u64, salt: u64, n: u64) -> u64 {
-    mix(mix(seed ^ salt).wrapping_add(ordinal)) % n.max(1)
+    derive_seed(seed ^ salt, ordinal) % n.max(1)
 }
 
 /// Deterministic printable garbage: bytes in `!..=~` excluding space,
@@ -228,7 +220,7 @@ fn pick(seed: u64, ordinal: u64, salt: u64, n: u64) -> u64 {
 pub fn garbage_bytes(seed: u64, ordinal: u64, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| {
-            let h = mix(mix(seed ^ SALT_BYTES).wrapping_add(ordinal) ^ (i as u64));
+            let h = splitmix64(splitmix64(seed ^ SALT_BYTES).wrapping_add(ordinal) ^ (i as u64));
             b'!' + (h % 94) as u8 // 0x21..=0x7E
         })
         .collect()

@@ -15,6 +15,7 @@
 //! environment.
 
 use crate::events::{EventStream, TelemetryEvent};
+use crate::stream::splitmix64;
 
 /// SLO names guaranteed to be absent from [`crate::catalog::SLOS`],
 /// substituted by the label-corruption fault.
@@ -214,24 +215,19 @@ pub struct FaultInjector {
     plan: FaultPlan,
 }
 
-/// splitmix64 finalizer — the mixing core of every decision.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+/// Hashes a decision key — the mixing core of every decision.
+fn key_hash(seed: u64, db_id: u64, ordinal: u64, salt: u64) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed ^ salt).wrapping_add(db_id)).wrapping_add(ordinal))
 }
 
 /// Hashes a decision key into a uniform `[0, 1)` draw.
 fn unit(seed: u64, db_id: u64, ordinal: u64, salt: u64) -> f64 {
-    let h = mix(mix(mix(seed ^ salt).wrapping_add(db_id)).wrapping_add(ordinal));
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (key_hash(seed, db_id, ordinal, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Hashes a decision key into an index in `[0, n)`.
 fn pick(seed: u64, db_id: u64, ordinal: u64, salt: u64, n: usize) -> usize {
-    let h = mix(mix(mix(seed ^ salt).wrapping_add(db_id)).wrapping_add(ordinal));
-    (h % n as u64) as usize
+    (key_hash(seed, db_id, ordinal, salt) % n as u64) as usize
 }
 
 /// Deterministically corrupts a byte buffer in place: each of the
@@ -246,7 +242,7 @@ pub fn flip_bytes(buf: &mut [u8], count: usize, seed: u64) {
     }
     for k in 0..count as u64 {
         let pos = pick(seed, k, 0, SALT_FLIP_POS, buf.len());
-        let mask = (mix(mix(seed ^ SALT_FLIP_MASK).wrapping_add(k)) % 255 + 1) as u8;
+        let mask = (splitmix64(splitmix64(seed ^ SALT_FLIP_MASK).wrapping_add(k)) % 255 + 1) as u8;
         buf[pos] ^= mask;
     }
 }

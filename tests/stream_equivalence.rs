@@ -12,7 +12,8 @@
 //! as well — `vanished` comes from an id-set difference, so this is a
 //! real consistency check, not true by definition.
 
-use features::{FeatureConfig, FeatureExtractor, StreamingDatasetBuilder};
+use features::{feature_schema, FeatureConfig, FeatureExtractor};
+use forest::Dataset;
 use proptest::prelude::*;
 use telemetry::{
     materialized_pipeline, run_shard, stream::splitmix64, Census, FaultPlan, FleetConfig,
@@ -61,18 +62,16 @@ proptest! {
         let (reference_dataset, reference_survival) =
             extractor.build_dataset(&reference_census, None);
 
-        // Streamed: shards visited in a random permutation, each
-        // featurized independently, merged by shard index.
+        // Streamed: shards visited in a random permutation, then
+        // featurized independently and merged by shard index.
         let plan = ShardPlan::new(config.region.subscription_count, shards);
         let visit_order = permutation(plan.shard_count(), order_seed);
-        let mut builder = StreamingDatasetBuilder::new(FeatureConfig::default(), None);
         let mut report = telemetry::IngestReport::default();
         let mut generated = 0usize;
         let mut vanished = 0usize;
         let mut shard_fleets = Vec::new();
         for &shard in &visit_order {
             let result = run_shard(&config, &plan, shard, chunk, faults.as_ref(), &policy);
-            builder.push_shard(shard, &result.fleet);
             report.merge(&result.report);
             generated += result.generated_databases;
             vanished += result.vanished_databases;
@@ -106,8 +105,17 @@ proptest! {
         );
         prop_assert_eq!(report, reference_report);
 
-        // Features: the merged dataset is bitwise equal, row for row.
-        let (streamed_dataset, streamed_survival) = builder.finish();
+        // Features: the shard datasets, appended in shard order, equal
+        // the whole-fleet dataset bitwise, row for row.
+        let mut streamed_dataset = Dataset::new(feature_schema(&FeatureConfig::default()), 2);
+        let mut streamed_survival = Vec::new();
+        for (_, fleet) in &shard_fleets {
+            let census = Census::new(fleet);
+            let extractor = FeatureExtractor::new(&census, FeatureConfig::default());
+            let (dataset, survival) = extractor.build_dataset(&census, None);
+            streamed_dataset.append(&dataset);
+            streamed_survival.extend(survival);
+        }
         prop_assert_eq!(streamed_dataset, reference_dataset);
         prop_assert_eq!(streamed_survival, reference_survival);
     }
